@@ -244,84 +244,6 @@ BENCHMARK(BM_RunOnceCoord)
     ->Arg(65536)
     ->Unit(benchmark::kMillisecond);
 
-/// The BM_RunOnceCoord shape with intra-run parallelism on (threads:0 = all
-/// hardware workers): probe batches fan out over the shared TaskPool with a
-/// serial FIFO commit, chunk floods shard per source-subtree with a serial
-/// reduction. Scalars are bit-identical to the serial run by contract
-/// (tests/test_intra_run.cpp), so the perf gates here are the engagement
-/// counters — par_floods_per_iter proves the sharded flood actually ran —
-/// because the recording host may be a single vCPU, where wall clock proves
-/// nothing. speedup_vs_serial is the informational headline: >= 1.5x
-/// expected at /65536 on a multi-core host. par_probe_batches_per_iter is
-/// reported but usually 0 on coordinate substrates: grid-mode placement
-/// answers locate() without landmark probes and walk batches stay under the
-/// fan-out floor — the landmark-substrate probe fan-out is pinned by
-/// tests/test_intra_run.cpp instead. arena_grow_per_iter must stay 0 — the
-/// shard buffers live in the same arena as everything else (allocs_per_iter
-/// is reported, not gated: pool task handoff may allocate outside the arena
-/// contract).
-void BM_RunOnceCoordPar(benchmark::State& state) {
-  experiments::RunConfig cfg;
-  cfg.substrate = experiments::Substrate::kCoordPlane;
-  cfg.protocol = experiments::Proto::kVdm;
-  cfg.scenario.target_members = static_cast<std::size_t>(state.range(0));
-  cfg.scenario.join_phase = 400.0;
-  cfg.scenario.total_time = 1200.0;
-  cfg.scenario.churn_interval = 200.0;
-  cfg.scenario.settle_time = 50.0;
-  cfg.scenario.churn_rate = 0.01;
-  cfg.session.chunk_rate = 0.1;
-  // Locating-first joins probe the landmark set in one batch — the shape
-  // that feeds the parallel probe path (walk steps alone stay under the
-  // batch-size floor).
-  cfg.session.join_mode = overlay::JoinMode::kConcurrent;
-  cfg.compute_mst_ratio = false;
-  cfg.seed = 7;
-  cfg.session.threads = 0;
-
-  experiments::RunConfig serial = cfg;
-  serial.session.threads = 1;
-  experiments::RunScratch scratch;
-  // Serial reference: warm the arena on the serial shape, then time one run.
-  benchmark::DoNotOptimize(experiments::run_once(serial, scratch));
-  const auto s0 = std::chrono::steady_clock::now();
-  const experiments::RunResult serial_r = experiments::run_once(serial, scratch);
-  const double serial_secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - s0).count();
-
-  benchmark::DoNotOptimize(experiments::run_once(cfg, scratch));  // warm parallel
-  const std::uint64_t grows_before = scratch.grow_events();
-  const std::uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
-  double par_secs = 0.0;
-  std::uint64_t floods = 0;
-  std::uint64_t batches = 0;
-  for (auto _ : state) {
-    const auto t0 = std::chrono::steady_clock::now();
-    experiments::RunResult r = experiments::run_once(cfg, scratch);
-    par_secs +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    floods += r.parallel_floods;
-    batches += r.parallel_probe_batches;
-    // The bitwise contract, spot-checked on the cheapest scalar (the full
-    // cross-substrate sweep lives in tests/test_intra_run.cpp).
-    if (r.final_members != serial_r.final_members) {
-      state.SkipWithError("parallel run diverged from serial");
-      break;
-    }
-    benchmark::DoNotOptimize(r);
-  }
-  const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - allocs_before;
-  const auto iters = static_cast<double>(state.iterations());
-  state.counters["par_floods_per_iter"] = static_cast<double>(floods) / iters;
-  state.counters["par_probe_batches_per_iter"] = static_cast<double>(batches) / iters;
-  state.counters["speedup_vs_serial"] =
-      par_secs > 0.0 ? serial_secs / (par_secs / iters) : 0.0;
-  state.counters["arena_grow_per_iter"] =
-      static_cast<double>(scratch.grow_events() - grows_before) / iters;
-  state.counters["allocs_per_iter"] = static_cast<double>(allocs) / iters;
-}
-BENCHMARK(BM_RunOnceCoordPar)->Arg(65536)->Unit(benchmark::kMillisecond);
-
 /// Incremental SSSP repair vs fresh Dijkstra on a Waxman router graph. Each
 /// iteration replays a fixed list of paired raise/lower delay edits
 /// (Graph::mutable_link) and re-queries eight warm source trees after every

@@ -12,8 +12,6 @@
 #include "baselines/mst_overlay.hpp"
 #include "baselines/random_protocol.hpp"
 #include "core/vdm_protocol.hpp"
-#include "overlay/placement.hpp"
-#include "overlay/walk.hpp"
 #include "net/coord_underlay.hpp"
 #include "sim/simulator.hpp"
 #include "topology/coord.hpp"
@@ -152,23 +150,9 @@ struct RunScratch::Impl {
   /// Scenario-driver pool buffers (available hosts, membership list).
   overlay::ScenarioScratch scenario;
 
-  /// Warm placement index (grid cells / landmark ring), swapped into each
-  /// run's Session; null until the first locating/concurrent run.
-  std::unique_ptr<overlay::PlacementIndex> placement;
-
-  /// Warm Membership (member slots, children capacity, flood arrays),
-  /// ping-ponged into each run's Session via swap_tree_storage; null until
-  /// the first run.
-  std::unique_ptr<overlay::Membership> tree;
-
-  /// Warm tree-walk buffers, swapped into each run's Session for its
-  /// lifetime (overlay/walk.hpp); null until the first run.
-  std::unique_ptr<overlay::WalkScratch> walk;
-
-  /// Warm Session working buffers (flood shards, chunk stack, probe arrays,
-  /// orphan list, timing-record accumulators), swapped into each run's
-  /// Session for its lifetime.
-  overlay::Session::Scratch session;
+  /// Warm Session storage (member tree, walk buffers, placement index,
+  /// event-path buffers), swapped into each run's Session for its lifetime.
+  overlay::Session::Storage session;
 
   /// Prim working set for the end-of-run MST ratio.
   topo::MstScratch mst;
@@ -208,9 +192,6 @@ struct RunScratch::Impl {
     bytes += scenario.capacity_bytes();
     bytes += session.capacity_bytes();
     bytes += mst.capacity_bytes();
-    if (placement) bytes += placement->capacity_bytes();
-    if (walk) bytes += walk->capacity_bytes();
-    if (tree) bytes += tree->capacity_bytes();
     if (graph_underlay) bytes += graph_underlay->arena_capacity_bytes();
     if (matrix_underlay) bytes += matrix_underlay->arena_capacity_bytes();
     if (coord_underlay) bytes += coord_underlay->arena_capacity_bytes();
@@ -415,14 +396,9 @@ RunResult run_once(const RunConfig& config, RunScratch& scratch) {
   overlay::SessionParams sp = config.session;
   sp.source = 0;
   overlay::Session session(simulator, *underlay, protocol, metric, sp, session_rng);
-  session.swap_walk_scratch(scratch.impl_->walk);
-  session.swap_scratch(scratch.impl_->session);
-  // Adopt the arena's warm tree (member slots, children capacity, flood
-  // arrays survive between runs); swapped back after the final metrics read.
-  session.swap_tree_storage(scratch.impl_->tree);
-  // Warm placement index (grid cells / landmark ring) for locating and
-  // concurrent join modes; unused (and unallocated) in sequential runs.
-  session.swap_placement_index(scratch.impl_->placement);
+  // Adopt the arena's warm storage (tree, walk buffers, placement index,
+  // event-path buffers); swapped back after the final metrics read.
+  session.swap_storage(scratch.impl_->session);
   metrics::Collector collector(session, scratch.impl_->collector);
   collector.set_threads(sp.threads);
   double metrics_secs = 0.0;  // --profile: wall clock of the capture sweeps
@@ -465,11 +441,6 @@ RunResult run_once(const RunConfig& config, RunScratch& scratch) {
       driver.run_trace(scratch.impl_->scenario.events, measure);
     }
   }  // the driver's destructor returns the pool buffers to the arena
-  // Return the (now warm) walk buffers to the arena before the end-of-run
-  // capacity accounting below.
-  session.swap_walk_scratch(scratch.impl_->walk);
-  session.swap_placement_index(scratch.impl_->placement);
-  session.swap_scratch(scratch.impl_->session);
 
   const std::size_t skip =
       std::min(config.epoch_skip, collector.samples().empty()
@@ -522,8 +493,6 @@ RunResult run_once(const RunConfig& config, RunScratch& scratch) {
                                            *underlay, scratch.impl_->mst)
                     : 1.0;
   r.final_members = session.tree().alive_count();
-  r.parallel_floods = session.totals().parallel_floods;
-  r.parallel_probe_batches = session.totals().parallel_probe_batches;
   r.profile_join_secs = session.profile().join_secs;
   r.profile_refine_secs = session.profile().refine_secs;
   r.profile_flood_secs = session.profile().flood_secs;
@@ -548,9 +517,9 @@ RunResult run_once(const RunConfig& config, RunScratch& scratch) {
       r.trajectory.push_back(p);
     }
   }
-  // Final metrics are read; return the warm tree to the arena so its
+  // Final metrics are read; return the warm storage to the arena so its
   // capacity survives into the next run (and is counted below).
-  session.swap_tree_storage(scratch.impl_->tree);
+  session.swap_storage(scratch.impl_->session);
 
   // Arena-growth accounting: a run that ends with more reserved bytes than
   // any run before it grew some buffer. Steady-state sweeps (same-shaped

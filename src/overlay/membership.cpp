@@ -34,7 +34,7 @@ std::size_t FloodTable::capacity_bytes() const {
              sizeof(std::uint32_t);
 }
 
-void Membership::reset(std::size_t num_hosts) {
+void Membership::reset(std::size_t num_hosts, HostId source) {
   if (members_.size() < num_hosts) members_.resize(num_hosts);
   // Clear every slot ever used (not just the new range): a slot beyond the
   // new pool must not resurface alive when a later reset grows again.
@@ -49,6 +49,7 @@ void Membership::reset(std::size_t num_hosts) {
   }
   flood_.assign(num_hosts);
   num_hosts_ = num_hosts;
+  source_ = source;
   limit1_alive_ = 0;
   alive_count_ = 0;
   // The observer is bound per run (it indexes one session's tree); a reset
@@ -68,6 +69,7 @@ void Membership::activate(HostId h, int degree_limit) {
   m.parent = kInvalidHost;
   m.grandparent = kInvalidHost;
   m.alive = true;
+  m.is_source = h == source_;
   m.degree_limit = degree_limit;
   flood_.reset_host(h);
   if (degree_limit == 1) ++limit1_alive_;

@@ -32,16 +32,22 @@ struct MemberState {
   HostId parent = kInvalidHost;
   HostId grandparent = kInvalidHost;
   bool alive = false;
+  /// The session source (Membership's named root): the only member with no
+  /// uplink to reserve.
+  bool is_source = false;
   /// Maximum number of children this node will feed (uplink capacity).
   int degree_limit = 0;
 
-  /// Number of overlay links this member currently holds: its children plus
-  /// its own uplink. DESIGN.md invariant 2 bounds *links*, not children —
-  /// an interior node's uplink consumes one unit of its capacity, so a node
-  /// with limit L can feed at most L-1 children (the root, having no
-  /// parent link, can feed L).
+  /// Number of overlay links this member holds or has reserved: its
+  /// children plus its own uplink. DESIGN.md invariant 2 bounds *links*,
+  /// not children — an uplink consumes one unit of capacity, so a node with
+  /// limit L can feed at most L-1 children (the source, having no parent
+  /// link, can feed L). The uplink unit stays reserved while a member is
+  /// detached (a crash orphan awaiting detection, a rejoining orphan): it
+  /// takes the link back when it reattaches, so lending the slot to a child
+  /// meanwhile would leave it over its limit.
   int overlay_links() const {
-    return static_cast<int>(children.size()) + (parent != kInvalidHost ? 1 : 0);
+    return static_cast<int>(children.size()) + (is_source ? 0 : 1);
   }
   bool has_free_degree() const { return overlay_links() < degree_limit; }
   bool is_root() const { return alive && parent == kInvalidHost; }
@@ -97,14 +103,20 @@ class MembershipObserver {
 /// acyclicity) are enforced in one place and are cheap to audit (validate()).
 class Membership {
  public:
-  explicit Membership(std::size_t num_hosts) { reset(num_hosts); }
+  /// `source` names the root, the one member that reserves no uplink (see
+  /// MemberState::overlay_links); kInvalidHost makes every member reserve
+  /// one.
+  explicit Membership(std::size_t num_hosts, HostId source = kInvalidHost) {
+    reset(num_hosts, source);
+  }
 
   /// Rebinds the tree to `num_hosts` hosts with every member detached and
-  /// dead, reusing all existing storage (member slots, children capacity,
-  /// flood arrays). A reset Membership is observably identical to a freshly
-  /// constructed one — this is what lets a RunScratch shuttle one tree
-  /// through consecutive runs with zero steady-state allocations.
-  void reset(std::size_t num_hosts);
+  /// dead and `source` as the root, reusing all existing storage (member
+  /// slots, children capacity, flood arrays). A reset Membership is
+  /// observably identical to a freshly constructed one — this is what lets
+  /// a RunScratch shuttle one tree through consecutive runs with zero
+  /// steady-state allocations.
+  void reset(std::size_t num_hosts, HostId source = kInvalidHost);
 
   std::size_t num_hosts() const { return num_hosts_; }
   const MemberState& member(HostId h) const { return members_.at(h); }
@@ -206,6 +218,7 @@ class Membership {
   std::vector<MemberState> members_;
   FloodTable flood_;
   std::size_t num_hosts_ = 0;
+  HostId source_ = kInvalidHost;
   std::size_t alive_count_ = 0;
   MembershipObserver* observer_ = nullptr;
   /// DFS scratch for subtree_has_capacity(); member state (not a local) so

@@ -4,10 +4,7 @@
 #include <chrono>
 #include <utility>
 
-#include "overlay/placement.hpp"
-#include "overlay/walk.hpp"
 #include "util/require.hpp"
-#include "util/task_pool.hpp"
 
 namespace vdm::overlay {
 
@@ -47,11 +44,10 @@ Session::Session(sim::Simulator& simulator, const net::Underlay& underlay,
                  const SessionParams& params, util::Rng rng)
     : sim_reactor_(&simulator), reactor_(sim_reactor_), des_sim_(&simulator),
       underlay_(underlay), protocol_(protocol), metric_(metric),
-      params_(params), rng_(rng), tree_(0) {
-  // tree_ and walk_scratch_ stay empty until start(): an arena caller swaps
-  // warm storage in between construction and start(), and sizing them here
-  // would put two unavoidable allocations on that otherwise allocation-free
-  // path.
+      params_(params), rng_(rng) {
+  // storage_ stays empty until start(): an arena caller swaps warm storage
+  // in between construction and start(), and sizing it here would put
+  // unavoidable allocations on that otherwise allocation-free path.
   VDM_REQUIRE(params_.source < underlay.num_hosts());
   VDM_REQUIRE(params_.chunk_rate > 0.0);
 }
@@ -60,7 +56,7 @@ Session::Session(transport::Reactor& reactor, const net::Underlay& underlay,
                  Protocol& protocol, const MetricProvider& metric,
                  const SessionParams& params, util::Rng rng)
     : reactor_(reactor), underlay_(underlay), protocol_(protocol),
-      metric_(metric), params_(params), rng_(rng), tree_(0) {
+      metric_(metric), params_(params), rng_(rng) {
   VDM_REQUIRE(params_.source < underlay.num_hosts());
   VDM_REQUIRE(params_.chunk_rate > 0.0);
 }
@@ -71,31 +67,13 @@ sim::Simulator& Session::simulator() {
   return *des_sim_;
 }
 
-void Session::swap_walk_scratch(std::unique_ptr<WalkScratch>& other) {
-  // Plain swap on purpose: populating a null `other` here would hand the
-  // arena a fresh allocation at swap-out. start() sizes whatever arrives.
-  std::swap(walk_scratch_, other);
-}
-
-void Session::swap_tree_storage(std::unique_ptr<Membership>& other) {
-  // The null-populate runs once per arena (first run); after that the swap
-  // just shuttles warm storage. start() does the per-run reset — resetting
-  // here would also grow the empty tree handed back at the end-of-run swap.
-  if (!other) other = std::make_unique<Membership>(0);
-  std::swap(tree_, *other);
-}
-
-void Session::swap_placement_index(std::unique_ptr<PlacementIndex>& other) {
-  // Plain swap on purpose (same reason as swap_walk_scratch): populating a
-  // null `other` would allocate a throwaway index at every end-of-run swap
-  // of a sequential-mode run. start() creates the index when a join mode
-  // actually needs one.
-  std::swap(placement_, other);
-}
-
-const std::vector<int>& Session::join_reservations() const {
-  static const std::vector<int> kEmpty;
-  return walk_scratch_ ? walk_scratch_->reserved : kEmpty;
+std::size_t Session::Storage::capacity_bytes() const {
+  return tree.capacity_bytes() + walk.capacity_bytes() +
+         (placement ? placement->capacity_bytes() : 0) +
+         chunk_stack.capacity() * sizeof(ChunkFrame) +
+         orphans.capacity() * sizeof(net::HostId) +
+         (startup_records.capacity() + reconnect_records.capacity()) *
+             sizeof(TimingRecord);
 }
 
 Session::~Session() { stop(); }
@@ -104,33 +82,34 @@ void Session::start() {
   VDM_REQUIRE_MSG(!started_, "start() called twice");
   started_ = true;
   profile_ = PhaseProfile{};
-  if (!walk_scratch_) walk_scratch_ = std::make_unique<WalkScratch>();
+  WalkScratch& ws = storage_.walk;
   // Unconditional: a swapped-in warm tree has matching size but stale
-  // members; a fresh or undersized one needs the resize. Same-size resets
-  // only clear, so the arena path stays allocation-free.
-  tree_.reset(underlay_.num_hosts());
+  // members (and the previous run's observer); a fresh or undersized one
+  // needs the resize. Same-size resets only clear, so the arena path stays
+  // allocation-free.
+  tree().reset(underlay_.num_hosts(), params_.source);
   // A swapped-in refine slab may hold EventIds from a previous run on this
   // arena; they are meaningless (and dangerous) after the simulator reset.
   // Likewise a join batch that was still queued when that run ended.
-  std::fill(walk_scratch_->refine_events.begin(),
-            walk_scratch_->refine_events.end(),
+  std::fill(ws.refine_events.begin(), ws.refine_events.end(),
             std::uint64_t{transport::kInvalidTimer});
-  walk_scratch_->pending_joins.clear();
+  ws.pending_joins.clear();
   // Swapped-in record accumulators may hold entries pushed after the previous
   // run's final drain; they belong to that run, not this one.
-  scratch_.startup_records.clear();
-  scratch_.reconnect_records.clear();
-  tree_.activate(params_.source, params_.source_degree_limit);
-  tree_.flood().in_session_since[params_.source] = reactor_.now();
+  storage_.startup_records.clear();
+  storage_.reconnect_records.clear();
+  tree().activate(params_.source, params_.source_degree_limit);
+  tree().flood().in_session_since[params_.source] = reactor_.now();
   if (params_.join_mode != JoinMode::kSequential) {
     VDM_REQUIRE_MSG(params_.join_mode != JoinMode::kConcurrent ||
                         protocol_.pipeline_support() != nullptr,
                     "join_mode=concurrent requires a protocol with pipeline "
                     "support");
-    if (!placement_) placement_ = std::make_unique<PlacementIndex>();
-    placement_->bind(underlay_, params_.source);
-    tree_.set_observer(placement_.get());
-    placement_->insert(params_.source);
+    std::unique_ptr<PlacementIndex>& placement = storage_.placement;
+    if (!placement) placement = std::make_unique<PlacementIndex>();
+    placement->bind(underlay_, params_.source);
+    tree().set_observer(placement.get());
+    placement->insert(params_.source);
   }
   if (params_.data_plane) {
     // Same schedule/reschedule sequence sim::Periodic produces, without the
@@ -148,13 +127,11 @@ void Session::stop() {
     reactor_.cancel(stream_event_);
     stream_event_ = transport::kInvalidTimer;
   }
-  if (walk_scratch_) {  // null after swap-out on the arena path, or pre-start
-    // A drain event scheduled behind us may still fire; emptied, it no-ops.
-    walk_scratch_->pending_joins.clear();
-    for (std::uint64_t& id : walk_scratch_->refine_events) {
-      if (id != transport::kInvalidTimer) reactor_.cancel(id);
-      id = transport::kInvalidTimer;
-    }
+  // A drain event scheduled behind us may still fire; emptied, it no-ops.
+  storage_.walk.pending_joins.clear();
+  for (std::uint64_t& id : storage_.walk.refine_events) {
+    if (id != transport::kInvalidTimer) reactor_.cancel(id);
+    id = transport::kInvalidTimer;
   }
   for (auto& [h, hb] : heartbeats_) {
     if (hb.pending_detect != transport::kInvalidTimer) reactor_.cancel(hb.pending_detect);
@@ -166,13 +143,13 @@ void Session::stop() {
 TimingRecord Session::join(net::HostId h, int degree_limit) {
   VDM_REQUIRE(started_);
   VDM_REQUIRE_MSG(h != params_.source, "the source does not join");
-  tree_.activate(h, degree_limit);
+  tree().activate(h, degree_limit);
 
   if (params_.join_mode == JoinMode::kConcurrent) {
     // Activated but still detached: invisible to the data-plane flood and
     // never an eligible parent, so the queued state needs no special casing
     // anywhere else. One drain event per timestamp services the whole batch.
-    walk_scratch_->pending_joins.push_back({h, degree_limit});
+    storage_.walk.pending_joins.push_back({h, degree_limit});
     if (!drain_scheduled_) {
       drain_scheduled_ = true;
       // schedule_in(0) sequences the drain after every event already queued
@@ -190,9 +167,9 @@ TimingRecord Session::join(net::HostId h, int degree_limit) {
   if (params_.join_mode == JoinMode::kLocating) start = locate_entry(h, pre);
   const TimingRecord rec =
       run_join(h, start, /*is_reconnect=*/false, /*detection=*/0.0, pre);
-  tree_.flood().in_session_since[h] = reactor_.now() + rec.duration;
+  tree().flood().in_session_since[h] = reactor_.now() + rec.duration;
   if (protocol_.wants_refinement()) arm_refinement(h);
-  if (params_.paranoid_checks) tree_.validate();
+  if (params_.paranoid_checks) tree().validate();
   return rec;
 }
 
@@ -200,7 +177,7 @@ net::HostId Session::locate_entry(net::HostId h, OpStats& stats) {
   // The joiner's one contact with the rendezvous point (co-located with the
   // source): request + response carrying the candidate entry node.
   charge_exchange(h, params_.source, stats);
-  const net::HostId found = placement_->locate(h, *this, stats);
+  const net::HostId found = storage_.placement->locate(h, *this, stats);
   if (found == kInvalidHost || !eligible_parent(h, found)) {
     return params_.source;
   }
@@ -217,7 +194,7 @@ TimingRecord Session::run_join(net::HostId h, net::HostId start, bool is_reconne
 
 TimingRecord Session::finish_join(net::HostId h, const OpStats& stats,
                                   bool is_reconnect, sim::Time detection) {
-  VDM_REQUIRE_MSG(tree_.member(h).parent != kInvalidHost,
+  VDM_REQUIRE_MSG(tree().member(h).parent != kInvalidHost,
                   "protocol join must attach the node");
   window_.control_messages += stats.messages;
   totals_.control_messages += stats.messages;
@@ -232,14 +209,14 @@ TimingRecord Session::finish_join(net::HostId h, const OpStats& stats,
 
   // The node (and transitively its subtree, which the data plane blocks
   // through this node) starts receiving once the join handshake finishes.
-  tree_.flood().receiving_since[h] = reactor_.now() + stats.elapsed;
+  tree().flood().receiving_since[h] = reactor_.now() + stats.elapsed;
 
   if (is_reconnect) {
-    scratch_.reconnect_records.push_back(rec);
+    storage_.reconnect_records.push_back(rec);
     ++window_.reconnects_completed;
     ++totals_.reconnects_completed;
   } else {
-    scratch_.startup_records.push_back(rec);
+    storage_.startup_records.push_back(rec);
     ++window_.joins_completed;
     ++totals_.joins_completed;
     if (first_join_at_ < 0.0) first_join_at_ = rec.at;
@@ -273,7 +250,7 @@ TimingRecord Session::finish_join(net::HostId h, const OpStats& stats,
 void Session::drain_join_batch() {
   const PhaseTimer timer(params_.profile, profile_.join_secs);
   drain_scheduled_ = false;
-  WalkScratch& ws = *walk_scratch_;
+  WalkScratch& ws = storage_.walk;
   if (ws.pending_joins.empty()) return;  // run stopped mid-batch
   PipelineSupport* support = protocol_.pipeline_support();
   VDM_REQUIRE(support != nullptr);
@@ -374,7 +351,7 @@ void Session::drain_join_batch() {
           break;
         }
         finish_join(w.host, w.stats, /*is_reconnect=*/false, 0.0);
-        tree_.flood().in_session_since[w.host] = now + w.stats.elapsed;
+        tree().flood().in_session_since[w.host] = now + w.stats.elapsed;
         if (protocol_.wants_refinement()) arm_refinement(w.host);
         // The attach created capacity (the joiner's own free slots) and may
         // have restructured the neighborhood — wake parked walkers, FIFO.
@@ -399,11 +376,11 @@ void Session::drain_join_batch() {
   ws.parked.clear();
   ws.walkers.clear();
   ws.adoption_pool.clear();
-  if (params_.paranoid_checks) tree_.validate();
+  if (params_.paranoid_checks) tree().validate();
 }
 
 net::HostId Session::reconnect_start(net::HostId orphan) const {
-  const net::HostId gp = tree_.member(orphan).grandparent;
+  const net::HostId gp = tree().member(orphan).grandparent;
   if (gp != kInvalidHost && eligible_parent(orphan, gp)) return gp;
   return params_.source;
 }
@@ -411,7 +388,7 @@ net::HostId Session::reconnect_start(net::HostId orphan) const {
 void Session::leave(net::HostId h) {
   VDM_REQUIRE(started_);
   VDM_REQUIRE_MSG(h != params_.source, "the source never leaves");
-  const MemberState& m = tree_.member(h);
+  const MemberState& m = tree().member(h);
   VDM_REQUIRE(m.alive);
 
   // Graceful leave: one notice per child plus one to the parent (§3.3).
@@ -425,21 +402,21 @@ void Session::leave(net::HostId h) {
   disarm_refinement(h);
   disarm_heartbeat(h);
   forget_crash_orphan(h);
-  tree_.deactivate(h, scratch_.orphans);
+  tree().deactivate(h, storage_.orphans);
 
   // Each orphan reconnects on its own, starting at its grandparent if that
   // node is still alive, else at the source (§3.3). Orphans act in child
   // order — deterministic, and equivalent to near-simultaneous recovery.
-  for (const net::HostId orphan : scratch_.orphans) {
+  for (const net::HostId orphan : storage_.orphans) {
     run_join(orphan, reconnect_start(orphan), /*is_reconnect=*/true);
   }
-  if (params_.paranoid_checks) tree_.validate();
+  if (params_.paranoid_checks) tree().validate();
 }
 
 void Session::crash(net::HostId h) {
   VDM_REQUIRE(started_);
   VDM_REQUIRE_MSG(h != params_.source, "the source never crashes");
-  VDM_REQUIRE(tree_.member(h).alive);
+  VDM_REQUIRE(tree().member(h).alive);
   ++window_.crashes;
   ++totals_.crashes;
 
@@ -447,16 +424,16 @@ void Session::crash(net::HostId h) {
   disarm_refinement(h);
   disarm_heartbeat(h);
   forget_crash_orphan(h);  // h may itself still be an undetected orphan
-  tree_.deactivate(h, scratch_.orphans);
+  tree().deactivate(h, storage_.orphans);
 
   if (params_.faults.heartbeat_period <= 0.0) {
     // No failure detector configured: model instant detection, i.e. the
     // orphans reconnect immediately as after a graceful leave (but the
     // crashed node still paid no notification messages).
-    for (const net::HostId orphan : scratch_.orphans) {
+    for (const net::HostId orphan : storage_.orphans) {
       run_join(orphan, reconnect_start(orphan), /*is_reconnect=*/true);
     }
-    if (params_.paranoid_checks) tree_.validate();
+    if (params_.paranoid_checks) tree().validate();
     return;
   }
 
@@ -465,7 +442,7 @@ void Session::crash(net::HostId h) {
   // streak plus timeout elapses. Until then the data plane counts their
   // subtrees as expecting-but-not-receiving (see emit_chunk).
   const sim::Time now = reactor_.now();
-  for (const net::HostId orphan : scratch_.orphans) {
+  for (const net::HostId orphan : storage_.orphans) {
     HeartbeatState& hb = heartbeats_.at(orphan);
     hb.orphaned = true;
     hb.orphaned_at = now;
@@ -475,7 +452,7 @@ void Session::crash(net::HostId h) {
 
 OpStats Session::refine(net::HostId h) {
   const PhaseTimer timer(params_.profile, profile_.refine_secs);
-  const MemberState& m = tree_.member(h);
+  const MemberState& m = tree().member(h);
   if (!m.alive || m.parent == kInvalidHost) return {};
   OpStats stats = protocol_.execute_refine(*this, h);
   window_.control_messages += stats.messages;
@@ -486,7 +463,7 @@ OpStats Session::refine(net::HostId h) {
     ++window_.refine_switches;
     ++totals_.refine_switches;
   }
-  if (params_.paranoid_checks) tree_.validate();
+  if (params_.paranoid_checks) tree().validate();
   return stats;
 }
 
@@ -497,46 +474,11 @@ double Session::measure(net::HostId from, net::HostId to, OpStats& stats) {
   return v;
 }
 
-bool Session::parallel_probes_enabled(std::size_t batch) const {
-  // Below this size the pool handoff costs more than the probes; typical
-  // walk batches (parent + children, <= ~6) stay on the serial path and the
-  // big refinement / flash-crowd candidate sets go wide.
-  constexpr std::size_t kMinParallelProbes = 8;
-  return params_.threads != 1 && batch >= kMinParallelProbes &&
-         underlay_.concurrent_reads() && metric_.concurrent_probe_safe();
-}
-
 std::span<const double> Session::measure_parallel(
     net::HostId from, std::span<const net::HostId> targets,
     std::vector<double>& out, OpStats& stats) {
   out.clear();
-  out.reserve(targets.size());
   sim::Time slowest = 0.0;
-  if (parallel_probes_enabled(targets.size())) {
-    ++totals_.parallel_probe_batches;
-    // Pure phase in parallel: per-target underlay reads land in per-index
-    // slots. Serial commit below applies the rng draws in FIFO target
-    // order, so values, costs and the rng stream match the serial path bit
-    // for bit (MetricProvider contract: measure == finish_probe(probe_base)).
-    scratch_.probe_bases.resize(targets.size());
-    scratch_.probe_costs.resize(targets.size());
-    util::TaskPool::global().for_n(
-        targets.size(), static_cast<std::size_t>(params_.threads),
-        [&](const util::TaskPool::Context& ctx) {
-          const net::HostId t = targets[ctx.index];
-          scratch_.probe_bases[ctx.index] = metric_.probe_base(underlay_, from, t);
-          scratch_.probe_costs[ctx.index] = {metric_.messages_per_measurement(),
-                                     metric_.measurement_time(underlay_, from, t)};
-        });
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-      out.push_back(metric_.finish_probe(scratch_.probe_bases[i], rng_));
-      slowest = std::max(
-          slowest, lossy_elapsed(from, targets[i], scratch_.probe_costs[i].messages,
-                                 scratch_.probe_costs[i].elapsed, stats));
-    }
-    stats.elapsed += slowest;
-    return out;
-  }
   for (const net::HostId t : targets) {
     MetricProvider::Cost cost;
     out.push_back(metric_.measure_with_cost(underlay_, from, t, rng_, cost));
@@ -544,14 +486,6 @@ std::span<const double> Session::measure_parallel(
                        lossy_elapsed(from, t, cost.messages, cost.elapsed, stats));
   }
   stats.elapsed += slowest;
-  return out;
-}
-
-std::vector<double> Session::measure_parallel(net::HostId from,
-                                              std::span<const net::HostId> targets,
-                                              OpStats& stats) {
-  std::vector<double> out;
-  measure_parallel(from, targets, out, stats);
   return out;
 }
 
@@ -592,14 +526,14 @@ void Session::charge_notification(int count, OpStats& stats) {
 
 bool Session::eligible_parent(net::HostId joiner, net::HostId candidate) const {
   if (candidate == joiner) return false;
-  if (!tree_.member(candidate).alive) return false;
-  return !tree_.is_ancestor(joiner, candidate);
+  if (!tree().member(candidate).alive) return false;
+  return !tree().is_ancestor(joiner, candidate);
 }
 
 void Session::arm_refinement(net::HostId h) {
-  std::vector<std::uint64_t>& slab = walk_scratch_->refine_events;
-  if (slab.size() < tree_.num_hosts()) {
-    slab.resize(tree_.num_hosts(), transport::kInvalidTimer);
+  std::vector<std::uint64_t>& slab = storage_.walk.refine_events;
+  if (slab.size() < tree().num_hosts()) {
+    slab.resize(tree().num_hosts(), transport::kInvalidTimer);
   }
   if (slab[h] != transport::kInvalidTimer) reactor_.cancel(slab[h]);
   const sim::Time period = protocol_.refinement_period();
@@ -614,7 +548,7 @@ void Session::arm_refinement(net::HostId h) {
 }
 
 void Session::disarm_refinement(net::HostId h) {
-  std::vector<std::uint64_t>& slab = walk_scratch_->refine_events;
+  std::vector<std::uint64_t>& slab = storage_.walk.refine_events;
   if (h < slab.size() && slab[h] != transport::kInvalidTimer) {
     reactor_.cancel(slab[h]);
     slab[h] = transport::kInvalidTimer;
@@ -659,7 +593,7 @@ void Session::forget_crash_orphan(net::HostId h) {
 
 void Session::heartbeat_tick(net::HostId h) {
   HeartbeatState& hb = heartbeats_.at(h);
-  const MemberState& m = tree_.member(h);
+  const MemberState& m = tree().member(h);
   VDM_REQUIRE_MSG(m.alive, "heartbeat ticking on a dead member");
   const FaultParams& f = params_.faults;
 
@@ -705,7 +639,7 @@ void Session::heartbeat_tick(net::HostId h) {
 void Session::complete_detection(net::HostId h) {
   HeartbeatState& hb = heartbeats_.at(h);
   hb.pending_detect = transport::kInvalidTimer;
-  const MemberState& m = tree_.member(h);
+  const MemberState& m = tree().member(h);
   VDM_REQUIRE_MSG(m.alive, "detection completing on a dead member");
 
   sim::Time detection;
@@ -719,32 +653,24 @@ void Session::complete_detection(net::HostId h) {
     // rejoin in the same sim event, so the only data-plane gap is the
     // rejoin handshake itself.
     detection = reactor_.now() - hb.first_miss_at;
-    if (m.parent != kInvalidHost) tree_.detach(h);
+    if (m.parent != kInvalidHost) tree().detach(h);
   }
   // NOTE: run_join re-enters ensure_heartbeat, which may rehash
   // heartbeats_ — `hb` is dead past this point.
   run_join(h, reconnect_start(h), /*is_reconnect=*/true, detection);
-  if (params_.paranoid_checks) tree_.validate();
+  if (params_.paranoid_checks) tree().validate();
 }
 
 void Session::reset_window() { window_ = Counters{}; }
 
-std::vector<TimingRecord> Session::take_startup_records() {
-  return std::exchange(scratch_.startup_records, {});
-}
-
-std::vector<TimingRecord> Session::take_reconnect_records() {
-  return std::exchange(scratch_.reconnect_records, {});
-}
-
 void Session::drain_startup_records(std::vector<TimingRecord>& out) {
   out.clear();
-  std::swap(out, scratch_.startup_records);
+  std::swap(out, storage_.startup_records);
 }
 
 void Session::drain_reconnect_records(std::vector<TimingRecord>& out) {
   out.clear();
-  std::swap(out, scratch_.reconnect_records);
+  std::swap(out, storage_.reconnect_records);
 }
 
 void Session::emit_chunk() {
@@ -769,89 +695,40 @@ void Session::emit_chunk() {
   // Leaves are never pushed, and the rng draw order matches the naive
   // traversal exactly (skipped leaf frames drew nothing), preserving
   // determinism.
-  FloodTable& fl = tree_.flood();
-  FloodShard total;
-  if (parallel_flood_enabled()) {
-    ++totals_.parallel_floods;
-    // Sharded flood: the source's own edges run serially (preserving child
-    // order for the shard seeds), then each source-child subtree floods on
-    // its own worker. Shards are disjoint — every FloodTable row belongs to
-    // exactly one subtree — and a zero_loss() underlay means no edge ever
-    // draws (Rng::chance(0) is draw-free in the serial path too), so the
-    // counters, the per-member tables and the rng stream are all
-    // bit-identical to the serial traversal for any worker count.
-    scratch_.flood_seeds.clear();
-    for (const net::HostId c : tree_.member_unchecked(params_.source).children) {
+  FloodTable& fl = tree().flood();
+  std::uint64_t transmissions = 0;
+  std::uint64_t expected = 0;
+  std::uint64_t delivered_total = 0;
+  storage_.chunk_stack.clear();
+  storage_.chunk_stack.push_back({params_.source, true});
+  while (!storage_.chunk_stack.empty()) {
+    const ChunkFrame f = storage_.chunk_stack.back();
+    storage_.chunk_stack.pop_back();
+    for (const net::HostId c : tree().member_unchecked(f.host).children) {
       bool delivered = false;
-      ++total.transmissions;
-      if (buffered_now >= fl.receiving_since[c]) {
-        if (fl.uplink_loss_parent[c] != params_.source) {
-          fl.uplink_loss_parent[c] = params_.source;
-          fl.uplink_loss[c] = underlay_.loss(params_.source, c);
+      if (f.delivered) {
+        ++transmissions;
+        // A playout buffer forgives outages that end within
+        // buffer_seconds: the chunk is recovered from the new parent
+        // before playback needs it, so the viewer never sees the gap.
+        if (buffered_now >= fl.receiving_since[c]) {
+          if (fl.uplink_loss_parent[c] != f.host) {
+            fl.uplink_loss_parent[c] = f.host;
+            fl.uplink_loss[c] = underlay_.loss(f.host, c);
+          }
+          delivered = !rng_.chance(fl.uplink_loss[c]);
         }
-        delivered = !rng_.chance(fl.uplink_loss[c]);
       }
       if (now >= fl.in_session_since[c]) {
         ++fl.chunks_expected[c];
-        ++total.expected;
+        ++expected;
         if (delivered) {
           ++fl.chunks_received[c];
-          ++total.delivered;
+          ++delivered_total;
         }
       }
-      if (!tree_.member_unchecked(c).children.empty()) {
-        scratch_.flood_seeds.push_back({c, delivered});
-      }
-    }
-    scratch_.flood_results.assign(scratch_.flood_seeds.size(), FloodShard{});
-    if (scratch_.flood_stacks.size() < scratch_.flood_seeds.size()) {
-      scratch_.flood_stacks.resize(scratch_.flood_seeds.size());
-    }
-    util::TaskPool::global().for_n(
-        scratch_.flood_seeds.size(), static_cast<std::size_t>(params_.threads),
-        [&](const util::TaskPool::Context& ctx) {
-          flood_subtree(scratch_.flood_seeds[ctx.index], now, buffered_now,
-                        scratch_.flood_stacks[ctx.index], scratch_.flood_results[ctx.index]);
-        });
-    // Serial reduction in fixed seed order (integer sums — associative, but
-    // FIFO keeps the policy uniform with the probe path).
-    for (const FloodShard& s : scratch_.flood_results) {
-      total.transmissions += s.transmissions;
-      total.expected += s.expected;
-      total.delivered += s.delivered;
-    }
-  } else {
-    scratch_.chunk_stack.clear();
-    scratch_.chunk_stack.push_back({params_.source, true});
-    while (!scratch_.chunk_stack.empty()) {
-      const ChunkFrame f = scratch_.chunk_stack.back();
-      scratch_.chunk_stack.pop_back();
-      for (const net::HostId c : tree_.member_unchecked(f.host).children) {
-        bool delivered = false;
-        if (f.delivered) {
-          ++total.transmissions;
-          // A playout buffer forgives outages that end within
-          // buffer_seconds: the chunk is recovered from the new parent
-          // before playback needs it, so the viewer never sees the gap.
-          if (buffered_now >= fl.receiving_since[c]) {
-            if (fl.uplink_loss_parent[c] != f.host) {
-              fl.uplink_loss_parent[c] = f.host;
-              fl.uplink_loss[c] = underlay_.loss(f.host, c);
-            }
-            delivered = !rng_.chance(fl.uplink_loss[c]);
-          }
-        }
-        if (now >= fl.in_session_since[c]) {
-          ++fl.chunks_expected[c];
-          ++total.expected;
-          if (delivered) {
-            ++fl.chunks_received[c];
-            ++total.delivered;
-          }
-        }
-        if (!tree_.member_unchecked(c).children.empty()) {
-          scratch_.chunk_stack.push_back({c, delivered});
-        }
+      if (!tree().member_unchecked(c).children.empty()) {
+        storage_.chunk_stack.push_back({c, delivered});
       }
     }
   }
@@ -861,71 +738,26 @@ void Session::emit_chunk() {
   // chunks — that gap IS the churn loss a crash causes. Walk them
   // explicitly; draws nothing and costs nothing when no crash is pending.
   for (const net::HostId root : crash_orphans_) {
-    scratch_.chunk_stack.push_back({root, false});
-    while (!scratch_.chunk_stack.empty()) {
-      const ChunkFrame f = scratch_.chunk_stack.back();
-      scratch_.chunk_stack.pop_back();
+    storage_.chunk_stack.push_back({root, false});
+    while (!storage_.chunk_stack.empty()) {
+      const ChunkFrame f = storage_.chunk_stack.back();
+      storage_.chunk_stack.pop_back();
       if (now >= fl.in_session_since[f.host]) {
         ++fl.chunks_expected[f.host];
-        ++total.expected;
+        ++expected;
       }
-      for (const net::HostId c : tree_.member_unchecked(f.host).children) {
-        scratch_.chunk_stack.push_back({c, false});
-      }
-    }
-  }
-
-  window_.data_transmissions += total.transmissions;
-  totals_.data_transmissions += total.transmissions;
-  window_.chunks_expected += total.expected;
-  totals_.chunks_expected += total.expected;
-  window_.chunks_delivered += total.delivered;
-  totals_.chunks_delivered += total.delivered;
-}
-
-bool Session::parallel_flood_enabled() const {
-  return params_.threads != 1 && underlay_.concurrent_reads() &&
-         underlay_.zero_loss();
-}
-
-void Session::flood_subtree(ChunkFrame seed, sim::Time now,
-                            sim::Time buffered_now,
-                            std::vector<ChunkFrame>& stack, FloodShard& res) {
-  // The per-worker body of the sharded flood: identical traversal and
-  // identical FloodTable writes as the serial loop, except the loss draw —
-  // zero_loss() makes it chance(0), which never fires and draws nothing, so
-  // `delivered` reduces to the buffered-receiving test.
-  FloodTable& fl = tree_.flood();
-  stack.clear();
-  stack.push_back(seed);
-  while (!stack.empty()) {
-    const ChunkFrame f = stack.back();
-    stack.pop_back();
-    for (const net::HostId c : tree_.member_unchecked(f.host).children) {
-      bool delivered = false;
-      if (f.delivered) {
-        ++res.transmissions;
-        if (buffered_now >= fl.receiving_since[c]) {
-          if (fl.uplink_loss_parent[c] != f.host) {
-            fl.uplink_loss_parent[c] = f.host;
-            fl.uplink_loss[c] = underlay_.loss(f.host, c);
-          }
-          delivered = true;
-        }
-      }
-      if (now >= fl.in_session_since[c]) {
-        ++fl.chunks_expected[c];
-        ++res.expected;
-        if (delivered) {
-          ++fl.chunks_received[c];
-          ++res.delivered;
-        }
-      }
-      if (!tree_.member_unchecked(c).children.empty()) {
-        stack.push_back({c, delivered});
+      for (const net::HostId c : tree().member_unchecked(f.host).children) {
+        storage_.chunk_stack.push_back({c, false});
       }
     }
   }
+
+  window_.data_transmissions += transmissions;
+  totals_.data_transmissions += transmissions;
+  window_.chunks_expected += expected;
+  totals_.chunks_expected += expected;
+  window_.chunks_delivered += delivered_total;
+  totals_.chunks_delivered += delivered_total;
 }
 
 }  // namespace vdm::overlay

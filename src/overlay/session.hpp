@@ -8,7 +8,9 @@
 #include "net/underlay.hpp"
 #include "overlay/membership.hpp"
 #include "overlay/metric.hpp"
+#include "overlay/placement.hpp"
 #include "overlay/protocol.hpp"
+#include "overlay/walk.hpp"
 #include "sim/simulator.hpp"
 #include "transport/sim_reactor.hpp"
 #include "transport/transport.hpp"
@@ -16,8 +18,6 @@
 
 namespace vdm::overlay {
 
-struct WalkScratch;
-class PlacementIndex;
 class PipelineSupport;
 
 /// How joins find their place in the tree.
@@ -91,14 +91,12 @@ struct SessionParams {
   JoinMode join_mode = JoinMode::kSequential;
   /// Crash-failure and control-loss model; defaults are all-off.
   FaultParams faults;
-  /// Worker threads for intra-session parallel phases — probe batches and
-  /// per-subtree chunk-flood shards: 1 = fully serial (default), 0 =
-  /// hardware concurrency, N = cap. Every run_once scalar is bit-identical
-  /// for every value: parallel phases compute pure underlay reads
-  /// concurrently and commit results (and all rng draws) serially in fixed
-  /// FIFO order, and they only engage at all when the underlay reports
-  /// concurrent_reads() (matrix/coord substrates; the graph substrate's
-  /// mutable caches keep it serial regardless of this knob).
+  /// Worker threads for the metrics collector's tree-measurement pass
+  /// (run_once hands it to Collector::set_threads; the session itself runs
+  /// serially): 1 = serial (default), 0 = hardware concurrency, N = cap.
+  /// Every run_once scalar is bit-identical for every value — the fan-out
+  /// computes pure underlay reads and folds them in BFS order, and only
+  /// engages when the underlay reports concurrent_reads().
   int threads = 1;
   /// Accumulate wall-clock time per control/data-plane phase (join walks,
   /// refinement, chunk floods) for vdmsim --profile. Off by default: the
@@ -146,48 +144,32 @@ class Session {
     net::HostId host;
     bool delivered;
   };
-  /// Per-shard counters of a parallel flood (see flood_subtree).
-  struct FloodShard {
-    std::uint64_t transmissions = 0;
-    std::uint64_t expected = 0;
-    std::uint64_t delivered = 0;
-  };
 
  public:
-  /// Arena-carried reusable buffers of the session's event paths: the
-  /// chunk-flood traversal stack, the parallel-phase probe/flood scratch,
-  /// the leave/crash orphan list and the timing-record accumulators. One
-  /// bundle lives on each Session; the experiment runner swaps a warm one
-  /// in from its RunScratch (swap_scratch) so steady-state sweeps run the
-  /// whole data plane and churn path without allocating.
-  struct Scratch {
+  /// Everything a run grows: the member tree (member slots, children
+  /// capacities, SoA flood arrays), the tree-walk buffers, the placement
+  /// index (created by the first locating/concurrent start()) and the
+  /// event-path buffers. One bundle lives on each Session; a RunScratch
+  /// arena swaps a warm one in before start() and back out after the final
+  /// metric read (swap_storage), so steady-state sweeps run without
+  /// allocating. start() resets what it must; every other buffer is cleared
+  /// on use, never on swap, so stale contents are harmless and capacity
+  /// always survives.
+  struct Storage {
+    Membership tree{0};
+    WalkScratch walk;
+    std::unique_ptr<PlacementIndex> placement;
+    /// Chunk-flood traversal stack.
     std::vector<ChunkFrame> chunk_stack;
-    std::vector<MetricProvider::ProbeBase> probe_bases;
-    std::vector<MetricProvider::Cost> probe_costs;
-    std::vector<ChunkFrame> flood_seeds;
-    std::vector<FloodShard> flood_results;
-    std::vector<std::vector<ChunkFrame>> flood_stacks;
+    /// Leave/crash orphan list (never re-entered: each departure is a
+    /// top-level event and the rejoins below it never deactivate).
     std::vector<net::HostId> orphans;
+    /// Timing-record accumulators (see drain_startup_records).
     std::vector<TimingRecord> startup_records;
     std::vector<TimingRecord> reconnect_records;
 
-    /// Heap bytes reserved — folded into RunScratch::capacity_bytes so the
-    /// arena grow gate covers the data plane and churn paths.
-    std::size_t capacity_bytes() const {
-      std::size_t bytes =
-          (chunk_stack.capacity() + flood_seeds.capacity()) * sizeof(ChunkFrame) +
-          probe_bases.capacity() * sizeof(MetricProvider::ProbeBase) +
-          probe_costs.capacity() * sizeof(MetricProvider::Cost) +
-          flood_results.capacity() * sizeof(FloodShard) +
-          flood_stacks.capacity() * sizeof(std::vector<ChunkFrame>) +
-          orphans.capacity() * sizeof(net::HostId) +
-          (startup_records.capacity() + reconnect_records.capacity()) *
-              sizeof(TimingRecord);
-      for (const std::vector<ChunkFrame>& s : flood_stacks) {
-        bytes += s.capacity() * sizeof(ChunkFrame);
-      }
-      return bytes;
-    }
+    /// Heap bytes reserved (RunScratch arena accounting).
+    std::size_t capacity_bytes() const;
   };
 
   /// Simulation-hosted session: time and timers come from the DES, via an
@@ -247,18 +229,13 @@ class Session {
 
   /// Measures `from` -> each target concurrently (the paper's "N pings S
   /// and all children"): message costs add, wall-clock is the slowest probe.
-  /// Span-out form: results land in `out` (cleared first) and the returned
-  /// span views it — the hot walk path passes scratch here and never
-  /// allocates in steady state.
+  /// Results land in `out` (cleared first) and the returned span views it —
+  /// the hot walk path passes scratch here and never allocates in steady
+  /// state.
   std::span<const double> measure_parallel(net::HostId from,
                                            std::span<const net::HostId> targets,
                                            std::vector<double>& out,
                                            OpStats& stats);
-
-  /// Allocating convenience wrapper over the span-out form.
-  std::vector<double> measure_parallel(net::HostId from,
-                                       std::span<const net::HostId> targets,
-                                       OpStats& stats);
 
   /// A request/response exchange with `with` (info request, connection
   /// request): 2 messages, one RTT of elapsed time.
@@ -273,8 +250,8 @@ class Session {
   bool eligible_parent(net::HostId joiner, net::HostId candidate) const;
 
   // --- accessors ---------------------------------------------------------
-  Membership& tree() { return tree_; }
-  const Membership& tree() const { return tree_; }
+  Membership& tree() { return storage_.tree; }
+  const Membership& tree() const { return storage_.tree; }
   const net::Underlay& underlay() const { return underlay_; }
   const MetricProvider& metric() const { return metric_; }
   net::HostId source() const { return params_.source; }
@@ -289,36 +266,19 @@ class Session {
 
   /// The tree-walk engine's reusable buffers (one set per session — walks
   /// never nest; see overlay/walk.hpp).
-  WalkScratch& walk_scratch() { return *walk_scratch_; }
+  WalkScratch& walk_scratch() { return storage_.walk; }
 
-  /// Arena shuttle: swap a warm walk scratch in from a RunScratch (and back
-  /// out after the run) so repeated experiments reuse grown buffers. A null
-  /// `other` is populated with a fresh scratch first.
-  void swap_walk_scratch(std::unique_ptr<WalkScratch>& other);
-
-  /// Arena shuttle for the member tables: swaps the session's Membership
-  /// storage (member slots, children capacities, SoA flood arrays) with
-  /// `other` and resets the incoming tree to this underlay's host count —
-  /// observably identical to a fresh tree, but reusing every buffer the
-  /// previous run grew. A null `other` is populated first. Call before
-  /// start() to adopt warm storage and again after the run (once the tree
-  /// has been read for final metrics) to return it.
-  void swap_tree_storage(std::unique_ptr<Membership>& other);
-
-  /// Arena shuttle for the placement index (join_mode != kSequential):
-  /// start() rebinds whatever index is installed, reusing its grown grid /
-  /// ring storage. A null `other` is populated first.
-  void swap_placement_index(std::unique_ptr<PlacementIndex>& other);
-
-  /// Arena shuttle for the event-path buffers (see Scratch): swap a warm
-  /// bundle in before start() and back out after the run. The incoming
-  /// buffers are cleared on use, never on swap, so stale contents are
-  /// harmless and capacity always survives.
-  void swap_scratch(Scratch& other) { std::swap(scratch_, other); }
+  /// The arena shuttle: swaps the session's whole Storage bundle with
+  /// `other`. Swap a warm bundle in before start() — start() resets the
+  /// tree to this underlay's host count, observably identical to a fresh
+  /// one — and back out once the tree has been read for final metrics.
+  void swap_storage(Storage& other) { std::swap(storage_, other); }
 
   /// Live per-host reservation counts of the concurrent join pipeline
   /// (non-zero only mid-drain; tests observe it from a WalkObserver).
-  const std::vector<int>& join_reservations() const;
+  const std::vector<int>& join_reservations() const {
+    return storage_.walk.reserved;
+  }
 
   /// Sim-time bounds of the initial-join workload: when the first join
   /// started and when the last join so far finished its handshake
@@ -352,14 +312,6 @@ class Session {
     std::uint64_t crashes = 0;
     std::uint64_t refines_run = 0;
     std::uint64_t refine_switches = 0;
-    /// Diagnostics, not metrics: chunk floods that ran the sharded
-    /// multi-worker path and probe batches that ran the parallel
-    /// compute/serial-commit path. Both count engagements only — results
-    /// are bitwise identical either way — so benches and --profile can
-    /// assert the parallel machinery actually ran (counter-gated on
-    /// single-core recording hosts, where wall clock proves nothing).
-    std::uint64_t parallel_floods = 0;
-    std::uint64_t parallel_probe_batches = 0;
   };
   /// Counters since the last reset_window() (per-epoch metrics).
   const Counters& window() const { return window_; }
@@ -369,13 +321,10 @@ class Session {
   const PhaseProfile& profile() const { return profile_; }
   void reset_window();
 
-  /// Startup / reconnection records accumulated since the last take.
-  std::vector<TimingRecord> take_startup_records();
-  std::vector<TimingRecord> take_reconnect_records();
-
-  /// Arena variants: swap the accumulated records into `out` (cleared
-  /// first); the session keeps accumulating into out's previous storage, so
-  /// a capture loop ping-pongs two buffers instead of allocating.
+  /// Startup / reconnection records accumulated since the last drain,
+  /// swapped into `out` (cleared first); the session keeps accumulating
+  /// into out's previous storage, so a capture loop ping-pongs two buffers
+  /// instead of allocating.
   void drain_startup_records(std::vector<TimingRecord>& out);
   void drain_reconnect_records(std::vector<TimingRecord>& out);
 
@@ -414,19 +363,6 @@ class Session {
                           sim::Time base, OpStats& stats);
   void emit_chunk();
 
-  /// True when this probe batch may compute its pure phase concurrently
-  /// (threads enabled, underlay and metric both safe, batch big enough to
-  /// beat the pool handoff).
-  bool parallel_probes_enabled(std::size_t batch) const;
-  /// True when emit_chunk may shard the flood across subtrees: requires a
-  /// draw-free data plane (zero_loss) so no shard ever touches the rng.
-  bool parallel_flood_enabled() const;
-  /// Floods the subtree below `seed` (exclusive), accumulating into `res`.
-  /// Pure reads + writes to this subtree's FloodTable rows only — safe to
-  /// run one shard per thread, since subtrees are disjoint.
-  void flood_subtree(ChunkFrame seed, sim::Time now, sim::Time buffered_now,
-                     std::vector<ChunkFrame>& stack, FloodShard& res);
-
   /// The DES backend when simulation-hosted; unbound (and unused) when an
   /// external reactor was supplied. By value so the sim-hosted constructor
   /// stays allocation-free (the arena gate in bench_e2e counts its allocs).
@@ -440,11 +376,10 @@ class Session {
   const MetricProvider& metric_;
   SessionParams params_;
   util::Rng rng_;
-  Membership tree_;
-  std::unique_ptr<WalkScratch> walk_scratch_;
-  /// Installed when join_mode != kSequential (start() binds it and wires it
-  /// as the tree's MembershipObserver).
-  std::unique_ptr<PlacementIndex> placement_;
+  /// The tree, walk buffers, placement index and event-path buffers (see
+  /// Storage). The placement index is bound and wired as the tree's
+  /// MembershipObserver only when join_mode != kSequential.
+  Storage storage_;
   /// A drain event for the current timestamp's join batch is already in the
   /// simulator queue.
   bool drain_scheduled_ = false;
@@ -486,12 +421,6 @@ class Session {
   /// walk order — and thus nothing, since the walk draws no randomness —
   /// stays deterministic.
   std::vector<net::HostId> crash_orphans_;
-
-  /// Reusable event-path buffers (see Scratch): the chunk-flood stack and
-  /// parallel-phase slots, the leave/crash orphan list (never re-entered —
-  /// each departure is a top-level sim event and the rejoin path below it
-  /// never deactivates), and the timing-record accumulators.
-  Scratch scratch_;
 
   Counters window_;
   Counters totals_;

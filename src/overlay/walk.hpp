@@ -81,7 +81,7 @@ struct WalkScratch {
   std::vector<net::HostId> kids;
   /// Probe target list when the current node is probed alongside its kids.
   std::vector<net::HostId> targets;
-  /// measure_parallel output (span-out overload writes here).
+  /// Session::measure_parallel output.
   std::vector<double> dist;
   /// Case-II adoption candidates / decided adoptions (VDM).
   std::vector<WalkAdoption> adoptions;

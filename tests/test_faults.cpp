@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <utility>
+#include <vector>
+
 #include "core/vdm_protocol.hpp"
 #include "experiments/runner.hpp"
 #include "helpers.hpp"
@@ -15,6 +19,7 @@ namespace {
 
 using testutil::Harness;
 using testutil::line_underlay;
+using testutil::rtt_underlay;
 
 /// Harness variant with explicit fault knobs (and a slower chunk rate so
 /// chunk counts stay easy to reason about).
@@ -59,7 +64,8 @@ TEST(Crash, WithoutHeartbeatReconnectsInstantly) {
   EXPECT_EQ(h.parent(2), 0u);  // reconnected from grandparent immediately
   EXPECT_EQ(h.session.totals().crashes, 1u);
   EXPECT_EQ(h.session.totals().reconnects_completed, 1u);
-  const std::vector<TimingRecord> recs = h.session.take_reconnect_records();
+  std::vector<TimingRecord> recs;
+  h.session.drain_reconnect_records(recs);
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].host, 2u);
   EXPECT_DOUBLE_EQ(recs[0].detection, 0.0);
@@ -116,7 +122,8 @@ TEST(Heartbeat, DetectsCrashAfterMissStreakExactly) {
 
   h.sim.run_until(10.0);
   EXPECT_EQ(h.parent(2), 0u);  // rejoined from grandparent
-  const std::vector<TimingRecord> recs = h.session.take_reconnect_records();
+  std::vector<TimingRecord> recs;
+  h.session.drain_reconnect_records(recs);
   ASSERT_EQ(recs.size(), 1u);
   EXPECT_EQ(recs[0].host, 2u);
   EXPECT_DOUBLE_EQ(recs[0].at, 7.5);
@@ -139,6 +146,58 @@ TEST(Heartbeat, RecoveredStreakResetsTheDetector) {
   EXPECT_EQ(h.session.totals().reconnects_completed, 0u);
 }
 
+TEST(Heartbeat, OrphanAwaitingDetectionKeepsItsUplinkSlot) {
+  // Tree S -> P -> G -> C -> {Y1, Y2}, with G at degree limit 2 (uplink +
+  // one child). P crashes, so G sits detached until its detector fires;
+  // then C leaves gracefully and its orphans rejoin from their grandparent
+  // G. The detached G must still count its uplink: had it lent that slot
+  // to Y2, its reattachment would leave it at 3 links on a limit of 2, and
+  // the next Case II splice at G would find no slot to free.
+  const std::vector<std::pair<double, double>> at{
+      {0, 0}, {10, 0}, {20, 0}, {30, 0}, {40, 10}, {40, -10}, {30, 5}};
+  std::vector<std::vector<double>> rtt(at.size(), std::vector<double>(at.size()));
+  for (std::size_t a = 0; a < at.size(); ++a) {
+    for (std::size_t b = 0; b < at.size(); ++b) {
+      rtt[a][b] = 0.01 * std::hypot(at[a].first - at[b].first,
+                                    at[a].second - at[b].second);
+    }
+  }
+  FaultParams f;
+  f.heartbeat_period = 1.0;
+  f.heartbeat_misses = 3;
+  f.heartbeat_timeout = 0.5;
+  FaultHarness h(rtt_underlay(rtt), f);
+  const net::HostId P = 1, G = 2, C = 3, Y1 = 4, Y2 = 5, N = 6;
+  h.session.join(P, 8);
+  h.session.join(G, 2);
+  h.session.join(C, 3);
+  h.session.join(Y1, 8);
+  h.session.join(Y2, 8);
+  ASSERT_EQ(h.parent(G), P);
+  ASSERT_EQ(h.parent(C), G);
+  ASSERT_EQ(h.parent(Y1), C);
+  ASSERT_EQ(h.parent(Y2), C);
+
+  h.sim.schedule_at(4.25, [&] { h.session.crash(P); });
+  h.sim.schedule_at(5.0, [&] { h.session.leave(C); });
+  h.sim.run_until(5.01);
+  ASSERT_EQ(h.parent(G), net::kInvalidHost);  // detection still pending
+  EXPECT_EQ(h.parent(Y1), G);
+  // One child plus the reserved uplink fills G; Y2 had to go elsewhere.
+  EXPECT_EQ(h.session.tree().member(G).children.size(), 1u);
+
+  // Detection reattaches G (paranoid_checks validates right after).
+  EXPECT_NO_THROW(h.sim.run_until(10.0));
+  EXPECT_EQ(h.parent(G), 0u);
+  EXPECT_LE(h.session.tree().member(G).overlay_links(), 2);
+
+  // N lies between G and Y1: a Case II splice at the saturated G.
+  EXPECT_NO_THROW(h.session.join(N, 8));
+  EXPECT_EQ(h.parent(N), G);
+  EXPECT_EQ(h.parent(Y1), N);
+  EXPECT_NO_THROW(h.session.tree().validate());
+}
+
 TEST(Heartbeat, FalsePositiveDetachesAndRejoins) {
   // control_loss_extra = 1 drops every probe (chance(1) draws nothing, so
   // the run stays deterministic): node 2's streak starts at its first probe
@@ -159,7 +218,8 @@ TEST(Heartbeat, FalsePositiveDetachesAndRejoins) {
   ASSERT_EQ(h.parent(2), 1u);
 
   h.sim.run_until(3.75);
-  const std::vector<TimingRecord> recs = h.session.take_reconnect_records();
+  std::vector<TimingRecord> recs;
+  h.session.drain_reconnect_records(recs);
   ASSERT_GE(recs.size(), 1u);
   EXPECT_EQ(recs[0].at, 3.5);
   EXPECT_DOUBLE_EQ(recs[0].detection, 3.5 - 1.0);

@@ -1,10 +1,11 @@
-// Intra-session parallelism determinism: every run_once scalar must be
-// bit-identical across --threads {1, 2, 0} on every substrate. The parallel
-// phases (probe batches, chunk-flood shards, tree-measurement reads) compute
-// pure underlay reads concurrently and commit all results — and every rng
-// draw — serially in fixed FIFO order, so the thread count must be
-// unobservable in the output. The graph substrate additionally pins that the
-// knob is inert when the underlay forbids concurrent reads.
+// Intra-run parallelism determinism: every run_once scalar must be
+// bit-identical across SessionParams::threads {1, 2, 0} on every substrate.
+// The one parallel phase inside a run is the metrics collector's
+// tree-measurement fan-out: per-member underlay reads computed concurrently
+// and folded serially in BFS order, so the thread count must be
+// unobservable in the output. The session's own control and data planes
+// run serially whatever the knob says. The graph substrate additionally
+// pins that the knob is inert when the underlay forbids concurrent reads.
 
 #include <bit>
 #include <cstdint>
@@ -84,8 +85,7 @@ TEST(IntraRunParallel, BitIdenticalAcrossThreadsOnMatrix) {
 }
 
 TEST(IntraRunParallel, BitIdenticalAcrossThreadsOnMatrixWithLoss) {
-  // Nonzero per-pair loss keeps the flood on the serial path (draws) while
-  // probe batches may still parallelize — both must stay invariant.
+  // Nonzero per-pair loss: the flood draws from the rng between captures.
   RunConfig cfg = base_config();
   cfg.substrate = Substrate::kGeoWorld;
   cfg.link_loss_max = 0.02;
@@ -93,8 +93,7 @@ TEST(IntraRunParallel, BitIdenticalAcrossThreadsOnMatrixWithLoss) {
 }
 
 TEST(IntraRunParallel, BitIdenticalAcrossThreadsOnCoord) {
-  // The coordinate substrate is the parallel showcase: lossless (sharded
-  // floods engage) and pure-arithmetic delays (probe fan-out engages).
+  // Pure-arithmetic delays: the capture fan-out engages on every epoch.
   RunConfig cfg = base_config();
   cfg.substrate = Substrate::kCoordPlane;
   cfg.scenario.target_members = 64;
@@ -102,8 +101,7 @@ TEST(IntraRunParallel, BitIdenticalAcrossThreadsOnCoord) {
 }
 
 TEST(IntraRunParallel, BitIdenticalAcrossThreadsOnCoordConcurrentJoins) {
-  // Flash-crowd style batched joins exercise the pipeline's measure_parallel
-  // batches under the locating placement index.
+  // Flash-crowd style batched joins under the locating placement index.
   RunConfig cfg = base_config();
   cfg.substrate = Substrate::kCoordWorld;
   cfg.session.join_mode = overlay::JoinMode::kConcurrent;
@@ -112,8 +110,8 @@ TEST(IntraRunParallel, BitIdenticalAcrossThreadsOnCoordConcurrentJoins) {
 }
 
 TEST(IntraRunParallel, BitIdenticalAcrossThreadsWithProbeNoise) {
-  // Measurement noise makes every probe draw from the rng — the serial
-  // FIFO commit must replay those draws in exactly the serial order.
+  // Measurement noise makes every probe draw from the rng; captures run
+  // between those draws and must not perturb them.
   RunConfig cfg = base_config();
   cfg.substrate = Substrate::kCoordUs;
   cfg.probe_noise = 0.1;

@@ -49,7 +49,7 @@ TEST(Membership, AttachSetsGrandparent) {
 }
 
 TEST(Membership, AttachEnforcesDegreeLimit) {
-  Membership m(4);
+  Membership m(4, /*source=*/0);
   m.activate(0, 2);
   for (HostId h = 1; h < 4; ++h) m.activate(h, 1);
   m.attach(1, 0, 1.0);
@@ -63,12 +63,13 @@ TEST(Membership, OverlayLinksCountTheParentLink) {
   // The degree budget covers every overlay connection: children plus the
   // uplink. A limit-2 member with a parent has one child slot, not two;
   // the root has no uplink so its full budget goes to children.
-  Membership m(3);
+  Membership m(3, /*source=*/0);
   m.activate(0, 2);
   m.activate(1, 2);
   m.activate(2, 2);
   EXPECT_EQ(m.member(0).overlay_links(), 0);
   EXPECT_TRUE(m.member(0).has_free_degree());
+  EXPECT_EQ(m.member(1).overlay_links(), 1);  // uplink reserved while detached
   m.attach(1, 0, 1.0);
   EXPECT_EQ(m.member(1).overlay_links(), 1);  // the uplink
   EXPECT_TRUE(m.member(1).has_free_degree());
@@ -81,11 +82,13 @@ TEST(Membership, OverlayLinksCountTheParentLink) {
 }
 
 TEST(Membership, LimitOneMemberIsAPureLeaf) {
-  Membership m(3);
+  Membership m(3, /*source=*/0);
   m.activate(0, 2);
   m.activate(1, 1);
   m.activate(2, 1);
-  EXPECT_TRUE(m.member(1).has_free_degree());  // detached: uplink still free
+  // Detached or not, its one unit is the reserved uplink: no child slot.
+  EXPECT_FALSE(m.member(1).has_free_degree());
+  EXPECT_THROW(m.attach(2, 1, 1.0), util::InvariantError);
   m.attach(1, 0, 1.0);
   EXPECT_FALSE(m.member(1).has_free_degree());  // saturated by its uplink
   EXPECT_THROW(m.attach(2, 1, 1.0), util::InvariantError);
@@ -130,7 +133,7 @@ TEST(Membership, SubtreeHasCapacitySeesThroughSaturatedLevels) {
   // Root limit 1 (saturated by its only child) whose grandchild still has
   // room: capacity search must descend past full interior nodes, and a
   // subtree of pure leaves must report no capacity.
-  Membership m(4);
+  Membership m(4, /*source=*/0);
   m.activate(0, 1);
   m.activate(1, 2);
   m.activate(2, 2);

@@ -145,6 +145,24 @@ TEST(Sweep, ArenaRunsMatchFreshRunsBitwise) {
     EXPECT_EQ(fingerprint(warm), fingerprint(fresh))
         << "substrate " << static_cast<int>(substrate);
   }
+  // The bundled tree and placement index cross join modes too: a locating
+  // or concurrent run leaves the index wired as the tree's observer, and a
+  // later run in any mode on the same scratch must not see it. Grid
+  // (coordinate) and landmark (graph) placement both ride the bundle.
+  for (const Substrate substrate : {Substrate::kCoordPlane, Substrate::kTransitStub}) {
+    for (const overlay::JoinMode mode :
+         {overlay::JoinMode::kSequential, overlay::JoinMode::kConcurrent,
+          overlay::JoinMode::kLocating, overlay::JoinMode::kSequential}) {
+      RunConfig cfg = small_config();
+      cfg.substrate = substrate;
+      cfg.session.join_mode = mode;
+      const RunResult warm = run_once(cfg, scratch);
+      const RunResult fresh = run_once(cfg);
+      EXPECT_EQ(fingerprint(warm), fingerprint(fresh))
+          << "substrate " << static_cast<int>(substrate) << " join mode "
+          << static_cast<int>(mode);
+    }
+  }
 }
 
 TEST(Sweep, ArenaStopsGrowingAfterFirstRunOfAShape) {

@@ -197,21 +197,32 @@ TEST(WalkPredicate, OwnParentCountsAsHavingRoomEvenWhenFull) {
 
 // -------------------------------------------------- span-out measure overload
 
-TEST(WalkMeasure, SpanOutOverloadMatchesVectorOverloadAndReusesCapacity) {
+TEST(WalkMeasure, SpanOutMatchesPerTargetMeasuresAndReusesCapacity) {
   core::VdmProtocol vdm;
   Harness h(line_underlay({0.0, 10.0, 20.0, 30.0, 40.0}), vdm);
   for (net::HostId n = 1; n <= 4; ++n) h.join(n);
 
+  // One batch equals the same probes taken one by one, except that the
+  // batch waits only for its slowest probe.
   const std::vector<net::HostId> targets{1, 2, 3, 4};
   OpStats s1, s2;
-  const std::vector<double> vec = h.session.measure_parallel(2, targets, s1);
+  std::vector<double> one_by_one;
+  double slowest = 0.0;
+  for (const net::HostId t : targets) {
+    OpStats single;
+    one_by_one.push_back(h.session.measure(2, t, single));
+    s1.messages += single.messages;
+    slowest = std::max(slowest, single.elapsed);
+  }
   std::vector<double> out;
   const std::span<const double> spanned =
       h.session.measure_parallel(2, targets, out, s2);
-  ASSERT_EQ(vec.size(), spanned.size());
-  for (std::size_t i = 0; i < vec.size(); ++i) EXPECT_EQ(vec[i], spanned[i]);
+  ASSERT_EQ(one_by_one.size(), spanned.size());
+  for (std::size_t i = 0; i < spanned.size(); ++i) {
+    EXPECT_EQ(one_by_one[i], spanned[i]);
+  }
   EXPECT_EQ(s1.messages, s2.messages);
-  EXPECT_EQ(s1.elapsed, s2.elapsed);
+  EXPECT_EQ(slowest, s2.elapsed);
 
   // Steady-state reuse: a second call into the same buffer must not grow it.
   const std::size_t cap = out.capacity();

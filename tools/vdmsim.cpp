@@ -74,10 +74,9 @@ int usage() {
       "  --seeds      independent repetitions               (default 8)\n"
       "  --seed       base seed                             (default 1)\n"
       "  --threads    worker cap for the seed sweep; 0 = hardware (default 0)\n"
-      "  --run-threads  worker threads for the parallel phases inside one\n"
-      "               seed (probe batches, chunk-flood shards); 0 = hardware\n"
-      "               (default 1 = serial; results are bit-identical for\n"
-      "               any value)\n"
+      "  --run-threads  worker threads for the tree-measurement pass inside\n"
+      "               one seed; 0 = hardware (default 1 = serial; results\n"
+      "               are bit-identical for any value)\n"
       "  --profile    print a per-phase wall-time footer (join / refine /\n"
       "               flood / metrics, summed across seeds) after the table\n"
       "  --quiet      suppress the per-seed progress line on stderr\n"
@@ -325,23 +324,18 @@ int main(int argc, char** argv) {
 
   if (cfg.session.profile) {
     double join = 0.0, refine = 0.0, flood = 0.0, metrics_t = 0.0;
-    std::uint64_t par_floods = 0, par_batches = 0;
     for (const RunResult& r : agg.runs) {
       join += r.profile_join_secs;
       refine += r.profile_refine_secs;
       flood += r.profile_flood_secs;
       metrics_t += r.profile_metrics_secs;
-      par_floods += r.parallel_floods;
-      par_batches += r.parallel_probe_batches;
     }
     std::printf(
         "\nprofile (%zu seeds): join %.3fs  refine %.3fs  flood %.3fs  "
         "metrics %.3fs\n"
-        "  run-threads %d (parallel floods %llu, parallel probe batches "
-        "%llu), sweep workers %zu\n",
+        "  run-threads %d, sweep workers %zu\n",
         agg.runs.size(), join, refine, flood, metrics_t, cfg.session.threads,
-        static_cast<unsigned long long>(par_floods),
-        static_cast<unsigned long long>(par_batches), sweep.threads);
+        sweep.threads);
   }
 
   if (want_trajectory && !agg.runs.empty()) {
