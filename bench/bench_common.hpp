@@ -81,7 +81,8 @@ inline testbed::SessionReport run_testbed_once(const TestbedConfig& cfg) {
   spec.churn_interval = cfg.churn_interval;
   spec.churn_rate = cfg.churn_rate;
   spec.degree_min = spec.degree_max = cfg.degree;
-  const testbed::Scenario scenario = testbed::generate_scenario(spec, scenario_rng);
+  const std::vector<overlay::WorkloadEvent> events =
+      testbed::generate_scenario(spec, scenario_rng);
 
   std::unique_ptr<overlay::Protocol> protocol;
   switch (cfg.proto) {
@@ -113,7 +114,7 @@ inline testbed::SessionReport run_testbed_once(const TestbedConfig& cfg) {
   cp.chunk_rate = cfg.chunk_rate;
   testbed::MainController controller(simulator, pool.topology.underlay,
                                      *protocol, metric, cp, session_rng);
-  return controller.run(scenario);
+  return controller.run(events, cfg.total_time);
 }
 
 /// Aggregate of one testbed configuration over several seeds.

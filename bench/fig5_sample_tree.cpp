@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "bench_common.hpp"
+#include "overlay/workload.hpp"
 #include "testbed/report.hpp"
 
 using namespace vdm;
@@ -48,10 +49,11 @@ int main(int argc, char** argv) {
   spec.total_time = 1200.0;
   spec.churn_rate = 0.0;
   spec.degree_min = spec.degree_max = 4;
-  const testbed::Scenario scenario = testbed::generate_scenario(spec, scenario_rng);
+  const std::vector<overlay::WorkloadEvent> events =
+      testbed::generate_scenario(spec, scenario_rng);
 
   std::ostringstream scenario_text;
-  testbed::write_scenario(scenario, scenario_text);
+  overlay::write_trace(scenario_text, events);
   std::cout << "\nscenario file head (generated, replayable):\n";
   std::istringstream head(scenario_text.str());
   std::string line;
@@ -67,7 +69,7 @@ int main(int argc, char** argv) {
   cp.source = 0;
   testbed::MainController controller(simulator, pool.topology.underlay, vdm,
                                      metric, cp, root.split(3));
-  const testbed::SessionReport report = controller.run(scenario);
+  const testbed::SessionReport report = controller.run(events, spec.total_time);
 
   banner("Figures 5.5/5.6 — sample overlay tree",
          note_expectation("nodes cluster by region; few transcontinental links"));

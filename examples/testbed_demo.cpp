@@ -1,19 +1,19 @@
 // Testbed walkthrough: the full Chapter-5 pipeline as a user would drive
 // it — synthesize a world-wide deployment, filter unusable nodes, write a
-// scenario file to disk, replay it through the MainController, and inspect
+// scenario trace to disk, replay it through the MainController, and inspect
 // the resulting overlay tree and session statistics.
 //
 //   ./build/examples/testbed_demo [--nodes 80] [--members 30] [--seed S]
-//                                 [--scenario out.scn] [--protocol vdm|hmtp]
+//                                 [--scenario out.csv] [--protocol vdm|hmtp]
 //                                 [--dot tree.dot]
 
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 
 #include "baselines/hmtp_protocol.hpp"
 #include "core/vdm_protocol.hpp"
+#include "overlay/workload.hpp"
 #include "testbed/controller.hpp"
 #include "testbed/dot_export.hpp"
 #include "testbed/node_pool.hpp"
@@ -60,18 +60,15 @@ int main(int argc, char** argv) {
   spec.churn_rate = 0.10;
   spec.degree_min = 3;
   spec.degree_max = 5;
-  const testbed::Scenario scenario = testbed::generate_scenario(spec, scenario_rng);
-
-  std::ostringstream text;
-  testbed::write_scenario(scenario, text);
+  std::vector<overlay::WorkloadEvent> events =
+      testbed::generate_scenario(spec, scenario_rng);
   if (!scenario_path.empty()) {
-    std::ofstream out(scenario_path);
-    out << text.str();
+    // Replay what the trace parser reads back, as a rerun from the file would.
+    overlay::write_trace_file(scenario_path, events);
     std::cout << "Scenario written to " << scenario_path << " ("
-              << scenario.events.size() << " events)\n";
+              << events.size() << " events)\n";
+    overlay::load_trace_file(scenario_path, events);
   }
-  // Round-trip through the parser, as the MainController would on replay.
-  const testbed::Scenario replay = testbed::parse_scenario(text.str());
 
   // 3. Session: agents + sender + transceivers driven by the controller.
   std::unique_ptr<overlay::Protocol> protocol;
@@ -89,7 +86,7 @@ int main(int argc, char** argv) {
   cp.source = 0;
   testbed::MainController controller(simulator, pool.topology.underlay,
                                      *protocol, metric, cp, root.split(3));
-  const testbed::SessionReport report = controller.run(replay);
+  const testbed::SessionReport report = controller.run(events, spec.total_time);
 
   // 4. Results: the tree, its geography and the session statistics.
   std::cout << "\n" << protocol->name() << " overlay tree at terminate:\n"

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <string>
 
+#include "overlay/workload.hpp"
 #include "util/require.hpp"
 
 namespace vdm::overlay {
@@ -257,33 +258,20 @@ void ScenarioDriver::schedule_batched_joins(const MeasureFn& on_measure) {
 
 void ScenarioDriver::schedule_trace_events(std::span<const WorkloadEvent> events) {
   transport::Reactor& sim = session_.reactor();
-  const std::size_t num_hosts = session_.underlay().num_hosts();
-  sim::Time prev = 0.0;
   for (const WorkloadEvent& ev : events) {
-    VDM_REQUIRE_MSG(ev.at >= prev, "trace events must be sorted by time");
-    prev = ev.at;
-    VDM_REQUIRE_MSG(ev.host < num_hosts && ev.host != session_.source(),
-                    "trace references host " + std::to_string(ev.host) +
-                        " outside the " + std::to_string(num_hosts) +
-                        "-host underlay (or the source)");
+    const net::HostId h = ev.host;
     switch (ev.kind) {
       case WorkloadEvent::Kind::kJoin: {
-        VDM_REQUIRE(ev.degree >= 1);
-        const net::HostId h = ev.host;
         const int degree = ev.degree;
         sim.schedule_at(ev.at, [this, h, degree] { do_join_traced(h, degree); });
         break;
       }
-      case WorkloadEvent::Kind::kLeave: {
-        const net::HostId h = ev.host;
+      case WorkloadEvent::Kind::kLeave:
         sim.schedule_at(ev.at, [this, h] { do_leave(h); });
         break;
-      }
-      case WorkloadEvent::Kind::kCrash: {
-        const net::HostId h = ev.host;
+      case WorkloadEvent::Kind::kCrash:
         sim.schedule_at(ev.at, [this, h] { do_crash(h); });
         break;
-      }
     }
   }
 }
@@ -305,6 +293,7 @@ void ScenarioDriver::run(const MeasureFn& on_measure) {
 void ScenarioDriver::run_trace(std::span<const WorkloadEvent> events,
                                const MeasureFn& on_measure) {
   VDM_REQUIRE(on_measure != nullptr);
+  validate_trace(events, session_.underlay().num_hosts(), session_.source());
   session_.start();
   // Measurements first, then the events: at an equal timestamp the settled
   // measurement fires before the next batch of membership changes, matching

@@ -127,8 +127,9 @@ class ScenarioDriver {
   /// comes from `events` — the driver draws no randomness — and
   /// measurements run on the same settled grid as the slot timeline
   /// (join_phase + settle_time, then every churn_interval up to
-  /// total_time). `events` must outlive the call and reference valid hosts;
-  /// a leave/crash of a host that is not a member fails with a clear error.
+  /// total_time). `events` must outlive the call and pass validate_trace
+  /// (checked first); a double join, or a leave/crash of a host that is not
+  /// a member, fails with a clear error when it fires.
   void run_trace(std::span<const WorkloadEvent> events, const MeasureFn& on_measure);
 
   /// Hosts currently alive in the overlay (excluding the source).

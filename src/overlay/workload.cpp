@@ -1,6 +1,7 @@
 #include "overlay/workload.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <limits>
@@ -229,49 +230,66 @@ void write_trace_file(const std::string& path,
   VDM_REQUIRE_MSG(static_cast<bool>(os), "error writing trace file: " + path);
 }
 
+namespace {
+
+/// Parses all of `field` as a T; false on trailing junk, a sign the type
+/// cannot hold, or a value out of T's range.
+template <typename T>
+bool parse_whole(std::string_view field, T& value) {
+  const char* const last = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), last, value);
+  return ec == std::errc{} && ptr == last;
+}
+
+}  // namespace
+
 void parse_trace(std::istream& is, std::vector<WorkloadEvent>& out) {
   out.clear();
   std::string line;
   std::size_t line_no = 0;
+  std::vector<std::string> fields;
   while (std::getline(is, line)) {
     ++line_no;
     const auto hash = line.find('#');
     if (hash != std::string::npos) line.erase(hash);
-    // Commas and whitespace both separate fields: the CSV trace format and
-    // testbed scenario-file lines share this parser.
+    // Commas and whitespace both separate fields.
     std::replace(line.begin(), line.end(), ',', ' ');
     std::istringstream ls(line);
-    double at = 0.0;
-    std::string kind;
-    if (!(ls >> at >> kind)) continue;  // blank / comment-only line
-    if (kind == "terminate") continue;  // testbed end marker; the horizon is
-                                        // total_time, not a trace line
-    VDM_REQUIRE_MSG(kind != "flash",
-                    "trace line " + std::to_string(line_no) +
-                        ": flash bursts must be expanded to concrete join "
-                        "lines before replay");
+    fields.clear();
+    for (std::string f; ls >> f;) fields.push_back(std::move(f));
+    if (fields.empty()) continue;  // blank / comment-only line
+    const std::string where = "trace line " + std::to_string(line_no) + ": ";
     WorkloadEvent e;
-    e.at = at;
-    std::uint64_t host = 0;
-    VDM_REQUIRE_MSG(static_cast<bool>(ls >> host),
-                    "trace line " + std::to_string(line_no) + ": " + kind +
-                        " needs a host id");
-    e.host = static_cast<net::HostId>(host);
+    VDM_REQUIRE_MSG(parse_whole(fields[0], e.at) && std::isfinite(e.at) &&
+                        e.at >= 0.0,
+                    where + "time '" + fields[0] +
+                        "' is not a finite number >= 0");
+    VDM_REQUIRE_MSG(fields.size() >= 2, where + "missing event kind");
+    const std::string& kind = fields[1];
+    if (kind == "terminate") continue;  // old end marker; runners take the
+                                        // horizon as a parameter
+    VDM_REQUIRE_MSG(kind != "flash",
+                    where + "flash bursts must be expanded to concrete join "
+                            "lines before replay");
     if (kind == "join") {
       e.kind = WorkloadEvent::Kind::kJoin;
-      int degree = 4;
-      if (ls >> degree) {
-        VDM_REQUIRE_MSG(degree >= 1, "trace line " + std::to_string(line_no) +
-                                         ": degree must be >= 1");
-        e.degree = degree;
-      }
     } else if (kind == "leave") {
       e.kind = WorkloadEvent::Kind::kLeave;
     } else if (kind == "crash") {
       e.kind = WorkloadEvent::Kind::kCrash;
     } else {
-      VDM_REQUIRE_MSG(false, "trace line " + std::to_string(line_no) +
-                                 ": unknown event kind '" + kind + "'");
+      VDM_REQUIRE_MSG(false, where + "unknown event kind '" + kind + "'");
+    }
+    VDM_REQUIRE_MSG(fields.size() >= 3, where + kind + " needs a host id");
+    VDM_REQUIRE_MSG(parse_whole(fields[2], e.host) && e.host != net::kInvalidHost,
+                    where + "host id '" + fields[2] + "' is not a valid id");
+    const std::size_t max_fields = e.kind == WorkloadEvent::Kind::kJoin ? 4 : 3;
+    VDM_REQUIRE_MSG(fields.size() <= max_fields,
+                    where + "unexpected field '" + fields[max_fields] + "'");
+    if (fields.size() == 4) {
+      VDM_REQUIRE_MSG(parse_whole(fields[3], e.degree) && e.degree >= 1,
+                      where + "degree '" + fields[3] +
+                          "' is not a whole number >= 1");
     }
     out.push_back(e);
   }
@@ -287,6 +305,20 @@ void load_trace_file(const std::string& path,
   std::ifstream is(path);
   VDM_REQUIRE_MSG(is.is_open(), "cannot open trace file: " + path);
   parse_trace(is, out);
+}
+
+void validate_trace(std::span<const WorkloadEvent> events,
+                    std::size_t num_hosts, net::HostId source) {
+  sim::Time prev = 0.0;
+  for (const WorkloadEvent& ev : events) {
+    VDM_REQUIRE_MSG(ev.at >= prev, "trace events must be sorted by time");
+    prev = ev.at;
+    VDM_REQUIRE_MSG(ev.host < num_hosts && ev.host != source,
+                    "trace references host " + std::to_string(ev.host) +
+                        " outside the " + std::to_string(num_hosts) +
+                        "-host underlay (or the source)");
+    if (ev.kind == WorkloadEvent::Kind::kJoin) VDM_REQUIRE(ev.degree >= 1);
+  }
 }
 
 }  // namespace vdm::overlay

@@ -72,13 +72,22 @@ void write_trace(std::ostream& os, std::span<const WorkloadEvent> events);
 void write_trace_file(const std::string& path,
                       std::span<const WorkloadEvent> events);
 
-/// Parses a trace. Fields may be separated by commas or whitespace, so both
-/// this CSV format and testbed scenario-file join/leave/crash lines load;
-/// 'terminate' lines are ignored, 'flash' bursts are rejected (a trace must
-/// name concrete hosts). Malformed lines fail with the line number. Fills
-/// `out` (cleared first).
+/// Parses a trace. Fields may be separated by commas or whitespace; '#'
+/// starts a comment and 'terminate' lines are ignored. Parsing is strict:
+/// a line whose time is not a finite number >= 0, whose host or degree is
+/// not a whole number in range (degree >= 1), that carries a field too many
+/// or an unknown kind (a 'flash' burst included: a trace names concrete
+/// hosts) fails with its line number. Fills `out` (cleared first).
 void parse_trace(std::istream& is, std::vector<WorkloadEvent>& out);
 void parse_trace(const std::string& text, std::vector<WorkloadEvent>& out);
 void load_trace_file(const std::string& path, std::vector<WorkloadEvent>& out);
+
+/// The checks every runner applies before replaying `events` (the
+/// simulator's ScenarioDriver, the testbed MainController and vdmd): times
+/// sorted and >= 0, every host inside [0, num_hosts) and not the source,
+/// every join degree >= 1. Membership (no double join, no departure of a
+/// non-member) depends on replay order and is left to the runner.
+void validate_trace(std::span<const WorkloadEvent> events,
+                    std::size_t num_hosts, net::HostId source);
 
 }  // namespace vdm::overlay

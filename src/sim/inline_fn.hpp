@@ -18,7 +18,7 @@ namespace vdm::sim {
 class InlineFn {
  public:
   /// Sized to hold the largest callback the repo schedules (a by-value
-  /// ScenarioEvent capture plus a pointer) with room to spare.
+  /// WorkloadEvent capture plus a pointer) with room to spare.
   static constexpr std::size_t kInlineBytes = 48;
 
   InlineFn() = default;

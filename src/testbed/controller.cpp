@@ -4,6 +4,7 @@
 #include <span>
 
 #include "baselines/mst_overlay.hpp"
+#include "overlay/workload.hpp"
 #include "util/require.hpp"
 
 namespace vdm::testbed {
@@ -65,57 +66,35 @@ MainController::MainController(transport::Reactor& reactor,
   collector_ = std::make_unique<metrics::Collector>(*session_);
 }
 
-SessionReport MainController::run(const Scenario& scenario) {
-  VDM_REQUIRE_MSG(!scenario.events.empty(), "scenario has no events");
+SessionReport MainController::run(std::span<const overlay::WorkloadEvent> events,
+                                  sim::Time end_time) {
+  overlay::validate_trace(events, underlay_.num_hosts(), session_->source());
+  VDM_REQUIRE_MSG(events.empty() || events.back().at <= end_time,
+                  "scenario events run past the end time");
   transport::Reactor& reactor = session_->reactor();
   session_->start();
 
-  // Flash bursts name a count, not hosts: expand over the ids unused
-  // anywhere else in the scenario (and not the source), in increasing
-  // order — a pure function of the scenario text, so replays match.
-  std::vector<char> used(underlay_.num_hosts(), 0);
-  used[session_->source()] = 1;
-  for (const ScenarioEvent& e : scenario.events) {
-    if (e.action != ScenarioEvent::Action::kFlash &&
-        e.action != ScenarioEvent::Action::kTerminate &&
-        e.node < used.size()) {
-      used[e.node] = 1;
-    }
-  }
-  net::HostId flash_cursor = 0;
-
-  for (const ScenarioEvent& e : scenario.events) {
-    switch (e.action) {
-      case ScenarioEvent::Action::kJoin:
-        reactor.schedule_at(e.at, [this, e] { session_->join(e.node, e.degree_limit); });
+  for (const overlay::WorkloadEvent& e : events) {
+    switch (e.kind) {
+      case overlay::WorkloadEvent::Kind::kJoin:
+        reactor.schedule_at(e.at, [this, e] { session_->join(e.host, e.degree); });
         break;
-      case ScenarioEvent::Action::kLeave:
-        reactor.schedule_at(e.at, [this, e] { session_->leave(e.node); });
+      case overlay::WorkloadEvent::Kind::kLeave:
+        reactor.schedule_at(e.at, [this, e] { session_->leave(e.host); });
         break;
-      case ScenarioEvent::Action::kCrash:
-        reactor.schedule_at(e.at, [this, e] { session_->crash(e.node); });
+      case overlay::WorkloadEvent::Kind::kCrash:
+        reactor.schedule_at(e.at, [this, e] { session_->crash(e.host); });
         break;
-      case ScenarioEvent::Action::kFlash:
-        for (net::HostId burst = 0; burst < e.node; ++burst) {
-          while (flash_cursor < used.size() && used[flash_cursor]) ++flash_cursor;
-          VDM_REQUIRE_MSG(flash_cursor < used.size(),
-                          "flash burst exceeds unused hosts in the underlay");
-          const net::HostId h = flash_cursor++;
-          reactor.schedule_at(e.at, [this, h, e] { session_->join(h, e.degree_limit); });
-        }
-        break;
-      case ScenarioEvent::Action::kTerminate:
-        break;  // implicit: run_until(end_time)
     }
   }
   // Periodic snapshots, then a final one exactly at terminate.
-  for (sim::Time t = params_.measure_interval; t < scenario.end_time;
+  for (sim::Time t = params_.measure_interval; t < end_time;
        t += params_.measure_interval) {
     reactor.schedule_at(t, [this] {
       collector_->capture(session_->reactor().now());
     });
   }
-  reactor.run_until(scenario.end_time);
+  reactor.run_until(end_time);
   collector_->capture(reactor.now());
   session_->stop();
 

@@ -1,12 +1,13 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "metrics/collector.hpp"
+#include "overlay/scenario.hpp"
 #include "overlay/session.hpp"
 #include "testbed/node_pool.hpp"
-#include "testbed/scenario_file.hpp"
 
 namespace vdm::testbed {
 
@@ -52,8 +53,8 @@ struct ControllerParams {
   /// into the underlying Session — the testbed's flaky-node story and the
   /// simulator's share one path. Defaults are all-off.
   overlay::FaultParams faults;
-  /// Join pipeline for the session (DESIGN.md §10) — scenario flash bursts
-  /// are only worth their name under kConcurrent.
+  /// Join pipeline for the session (DESIGN.md §10) — a flash crowd (many
+  /// join lines at one instant) is only worth its name under kConcurrent.
   overlay::JoinMode join_mode = overlay::JoinMode::kSequential;
 };
 
@@ -91,8 +92,11 @@ class MainController {
                  overlay::Protocol& protocol, const overlay::MetricProvider& metric,
                  const ControllerParams& params, util::Rng rng);
 
-  /// Runs `scenario` to its terminate event and gathers the report.
-  SessionReport run(const Scenario& scenario);
+  /// Replays `events` (checked by overlay::validate_trace first, all at or
+  /// before `end_time`), snapshots the tree every measure_interval, stops
+  /// at `end_time` — the terminate command — and gathers the report.
+  SessionReport run(std::span<const overlay::WorkloadEvent> events,
+                    sim::Time end_time);
 
   overlay::Session& session() { return *session_; }
 

@@ -4,6 +4,7 @@
 
 #include "baselines/hmtp_protocol.hpp"
 #include "core/vdm_protocol.hpp"
+#include "overlay/workload.hpp"
 #include "testbed/controller.hpp"
 #include "testbed/dot_export.hpp"
 #include "testbed/node_pool.hpp"
@@ -71,18 +72,20 @@ ScenarioSpec small_spec() {
   return spec;
 }
 
+using overlay::WorkloadEvent;
+using K = WorkloadEvent::Kind;
+
 TEST(ScenarioFile, GenerateProducesWarmupThenChurn) {
   util::Rng rng(5);
-  const Scenario sc = generate_scenario(small_spec(), rng);
-  ASSERT_FALSE(sc.events.empty());
-  EXPECT_EQ(sc.events.back().action, ScenarioEvent::Action::kTerminate);
+  const ScenarioSpec spec = small_spec();
+  const std::vector<WorkloadEvent> events = generate_scenario(spec, rng);
+  ASSERT_FALSE(events.empty());
+  EXPECT_LT(events.back().at, spec.total_time);  // all inside the horizon
   std::size_t joins = 0, leaves = 0;
-  for (const ScenarioEvent& e : sc.events) {
-    if (e.action == ScenarioEvent::Action::kJoin) {
-      ++joins;
-      EXPECT_GE(e.degree_limit, 1);
-    }
-    if (e.action == ScenarioEvent::Action::kLeave) ++leaves;
+  for (const WorkloadEvent& e : events) {
+    EXPECT_GE(e.degree, 1);
+    if (e.kind == K::kJoin) ++joins;
+    if (e.kind == K::kLeave) ++leaves;
   }
   EXPECT_EQ(joins, 10u + leaves);  // each leave paired with a join
   EXPECT_GT(leaves, 0u);
@@ -90,53 +93,47 @@ TEST(ScenarioFile, GenerateProducesWarmupThenChurn) {
 
 TEST(ScenarioFile, EventsAreTimeOrdered) {
   util::Rng rng(6);
-  const Scenario sc = generate_scenario(small_spec(), rng);
-  for (std::size_t i = 1; i < sc.events.size(); ++i) {
-    EXPECT_LE(sc.events[i - 1].at, sc.events[i].at);
+  const std::vector<WorkloadEvent> events = generate_scenario(small_spec(), rng);
+  for (std::size_t i = 1; i < events.size(); ++i) {
+    EXPECT_LE(events[i - 1].at, events[i].at);
   }
 }
 
 TEST(ScenarioFile, NoJoinOfAlreadyJoinedNode) {
   util::Rng rng(7);
-  const Scenario sc = generate_scenario(small_spec(), rng);
+  const std::vector<WorkloadEvent> events = generate_scenario(small_spec(), rng);
   std::vector<char> in(64, 0);
-  for (const ScenarioEvent& e : sc.events) {
-    if (e.action == ScenarioEvent::Action::kJoin) {
-      EXPECT_FALSE(in[e.node]) << "double join of " << e.node;
-      in[e.node] = 1;
-    } else if (e.action == ScenarioEvent::Action::kLeave) {
-      EXPECT_TRUE(in[e.node]) << "leave of absent " << e.node;
-      in[e.node] = 0;
+  for (const WorkloadEvent& e : events) {
+    if (e.kind == K::kJoin) {
+      EXPECT_FALSE(in[e.host]) << "double join of " << e.host;
+      in[e.host] = 1;
+    } else if (e.kind == K::kLeave) {
+      EXPECT_TRUE(in[e.host]) << "leave of absent " << e.host;
+      in[e.host] = 0;
     }
   }
 }
 
 TEST(ScenarioFile, WriteParseRoundTrip) {
   util::Rng rng(8);
-  const Scenario sc = generate_scenario(small_spec(), rng);
+  const std::vector<WorkloadEvent> events = generate_scenario(small_spec(), rng);
   std::ostringstream os;
-  write_scenario(sc, os);
-  const Scenario back = parse_scenario(os.str());
-  ASSERT_EQ(back.events.size(), sc.events.size());
-  for (std::size_t i = 0; i < sc.events.size(); ++i) {
-    EXPECT_EQ(back.events[i].action, sc.events[i].action);
-    EXPECT_EQ(back.events[i].node, sc.events[i].node);
-    EXPECT_NEAR(back.events[i].at, sc.events[i].at, 1e-4);
-    if (sc.events[i].action == ScenarioEvent::Action::kJoin) {
-      EXPECT_EQ(back.events[i].degree_limit, sc.events[i].degree_limit);
-    }
-  }
+  overlay::write_trace(os, events);
+  std::vector<WorkloadEvent> back;
+  overlay::parse_trace(os.str(), back);
+  // Departures carry the default degree, so the lists compare equal.
+  EXPECT_EQ(back, events);
 }
 
 TEST(ScenarioFile, CrashFractionTurnsDeparturesIntoCrashes) {
   ScenarioSpec spec = small_spec();
   spec.crash_fraction = 1.0;
   util::Rng rng(21);
-  const Scenario sc = generate_scenario(spec, rng);
+  const std::vector<WorkloadEvent> events = generate_scenario(spec, rng);
   std::size_t crashes = 0, leaves = 0;
-  for (const ScenarioEvent& e : sc.events) {
-    if (e.action == ScenarioEvent::Action::kCrash) ++crashes;
-    if (e.action == ScenarioEvent::Action::kLeave) ++leaves;
+  for (const WorkloadEvent& e : events) {
+    if (e.kind == K::kCrash) ++crashes;
+    if (e.kind == K::kLeave) ++leaves;
   }
   EXPECT_GT(crashes, 0u);
   EXPECT_EQ(leaves, 0u);  // every departure is ungraceful
@@ -144,92 +141,37 @@ TEST(ScenarioFile, CrashFractionTurnsDeparturesIntoCrashes) {
   // crash_fraction == 0 draws nothing: the stream matches the all-graceful
   // generation from the same seed event for event.
   util::Rng rng_a(22), rng_b(22);
-  const Scenario graceful = generate_scenario(small_spec(), rng_a);
+  const std::vector<WorkloadEvent> graceful = generate_scenario(small_spec(), rng_a);
   ScenarioSpec zero = small_spec();
   zero.crash_fraction = 0.0;
-  const Scenario zero_sc = generate_scenario(zero, rng_b);
-  ASSERT_EQ(zero_sc.events.size(), graceful.events.size());
-  for (std::size_t i = 0; i < graceful.events.size(); ++i) {
-    EXPECT_EQ(zero_sc.events[i].action, graceful.events[i].action);
-    EXPECT_EQ(zero_sc.events[i].node, graceful.events[i].node);
-    EXPECT_DOUBLE_EQ(zero_sc.events[i].at, graceful.events[i].at);
-  }
+  EXPECT_EQ(generate_scenario(zero, rng_b), graceful);
 }
 
 TEST(ScenarioFile, CrashVerbRoundTrips) {
   ScenarioSpec spec = small_spec();
   spec.crash_fraction = 0.5;
   util::Rng rng(23);
-  const Scenario sc = generate_scenario(spec, rng);
+  const std::vector<WorkloadEvent> events = generate_scenario(spec, rng);
   std::ostringstream os;
-  write_scenario(sc, os);
-  EXPECT_NE(os.str().find(" crash "), std::string::npos);
-  const Scenario back = parse_scenario(os.str());
-  ASSERT_EQ(back.events.size(), sc.events.size());
-  for (std::size_t i = 0; i < sc.events.size(); ++i) {
-    EXPECT_EQ(back.events[i].action, sc.events[i].action);
-    EXPECT_EQ(back.events[i].node, sc.events[i].node);
-  }
-  EXPECT_THROW(parse_scenario("1.0 crash\n"), util::InvariantError);
-}
-
-TEST(ScenarioFile, FlashVerbRoundTrips) {
-  ScenarioSpec spec = small_spec();
-  spec.flash_count = 12;
-  spec.flash_at = 100.0;
-  util::Rng rng(29);
-  const Scenario sc = generate_scenario(spec, rng);
-  std::ostringstream os;
-  write_scenario(sc, os);
-  EXPECT_NE(os.str().find(" flash "), std::string::npos);
-  const Scenario back = parse_scenario(os.str());
-  ASSERT_EQ(back.events.size(), sc.events.size());
-  bool saw_flash = false;
-  for (std::size_t i = 0; i < sc.events.size(); ++i) {
-    EXPECT_EQ(back.events[i].action, sc.events[i].action);
-    EXPECT_EQ(back.events[i].node, sc.events[i].node);
-    if (sc.events[i].action == ScenarioEvent::Action::kFlash) {
-      saw_flash = true;
-      EXPECT_EQ(sc.events[i].at, 100.0);
-      EXPECT_EQ(sc.events[i].node, 12u);  // node carries the burst count
-    }
-  }
-  EXPECT_TRUE(saw_flash);
-  EXPECT_THROW(parse_scenario("1.0 flash\n"), util::InvariantError);
-  EXPECT_THROW(parse_scenario("1.0 flash 0\n"), util::InvariantError);
-}
-
-TEST(ScenarioFile, ParserHandlesCommentsAndBlanks) {
-  const Scenario sc = parse_scenario(
-      "# a comment\n"
-      "\n"
-      "1.5 join 3 4\n"
-      "2.0 leave 3   # trailing comment\n"
-      "9 terminate\n");
-  ASSERT_EQ(sc.events.size(), 3u);
-  EXPECT_EQ(sc.events[0].node, 3u);
-  EXPECT_EQ(sc.events[0].degree_limit, 4);
-  EXPECT_EQ(sc.events[1].action, ScenarioEvent::Action::kLeave);
-  EXPECT_DOUBLE_EQ(sc.end_time, 9.0);
-}
-
-TEST(ScenarioFile, ParserRejectsGarbage) {
-  EXPECT_THROW(parse_scenario("1.0 explode 3\n"), util::InvariantError);
-  EXPECT_THROW(parse_scenario("1.0 join\n"), util::InvariantError);
-}
-
-TEST(ScenarioFile, NormalizeAppendsTerminate) {
-  Scenario sc;
-  sc.events.push_back({5.0, 1, ScenarioEvent::Action::kJoin, 2});
-  sc.normalize();
-  EXPECT_EQ(sc.events.back().action, ScenarioEvent::Action::kTerminate);
-  EXPECT_DOUBLE_EQ(sc.end_time, 5.0);
+  overlay::write_trace(os, events);
+  EXPECT_NE(os.str().find(",crash,"), std::string::npos);
+  std::vector<WorkloadEvent> back;
+  overlay::parse_trace(os.str(), back);
+  EXPECT_EQ(back, events);
+  EXPECT_THROW(overlay::parse_trace("1.0 crash\n", back), util::InvariantError);
 }
 
 TEST(ScenarioFile, GenerateRejectsTooFewNodes) {
   util::Rng rng(9);
   ScenarioSpec spec = small_spec();
   spec.members = 100;  // > pool
+  EXPECT_THROW(generate_scenario(spec, rng), util::InvariantError);
+}
+
+TEST(ScenarioFile, GenerateRejectsJoinPhasePastHorizon) {
+  util::Rng rng(9);
+  ScenarioSpec spec = small_spec();
+  spec.join_phase = spec.total_time + 1.0;  // warmup joins would run past it
   EXPECT_THROW(generate_scenario(spec, rng), util::InvariantError);
 }
 
@@ -252,7 +194,7 @@ TEST(Controller, RunsScenarioAndReports) {
   spec.churn_interval = 60.0;
   spec.churn_rate = 0.1;
   util::Rng scenario_rng(11);
-  const Scenario sc = generate_scenario(spec, scenario_rng);
+  const std::vector<WorkloadEvent> events = generate_scenario(spec, scenario_rng);
 
   sim::Simulator simulator;
   core::VdmProtocol vdm;
@@ -261,7 +203,7 @@ TEST(Controller, RunsScenarioAndReports) {
   cp.measure_interval = 60.0;
   MainController controller(simulator, pool.topology.underlay, vdm, metric, cp,
                             util::Rng(12));
-  const SessionReport report = controller.run(sc);
+  const SessionReport report = controller.run(events, spec.total_time);
 
   EXPECT_EQ(report.final_tree.members, 16u);
   EXPECT_GE(report.startup_times.size(), 15u);  // warmup joins + churn joins
@@ -294,7 +236,7 @@ TEST(Controller, CrashScenarioWithHeartbeatsReportsDetection) {
   spec.churn_rate = 0.1;
   spec.crash_fraction = 1.0;
   util::Rng scenario_rng(25);
-  const Scenario sc = generate_scenario(spec, scenario_rng);
+  const std::vector<WorkloadEvent> events = generate_scenario(spec, scenario_rng);
 
   sim::Simulator simulator;
   core::VdmProtocol vdm;
@@ -306,7 +248,7 @@ TEST(Controller, CrashScenarioWithHeartbeatsReportsDetection) {
   cp.faults.heartbeat_timeout = 0.5;
   MainController controller(simulator, pool.topology.underlay, vdm, metric, cp,
                             util::Rng(26));
-  const SessionReport report = controller.run(sc);
+  const SessionReport report = controller.run(events, spec.total_time);
 
   EXPECT_GT(report.totals.crashes, 0u);
   ASSERT_FALSE(report.detection_times.empty());
@@ -319,45 +261,98 @@ TEST(Controller, CrashScenarioWithHeartbeatsReportsDetection) {
   }
 }
 
+TEST(Controller, CrashChurnReportMatchesHexfloatGolden) {
+  // Pins the testbed path bit for bit: a generated scenario with crash
+  // churn, replayed by the MainController with heartbeat detection and
+  // FlakyMetric probe noise and slowness. The fig5 and testbed-sweep
+  // numbers all come out of this pipeline.
+  util::Rng rng(41);
+  PoolParams pp;
+  pp.num_nodes = 60;
+  const NodePool pool = make_pool(pp, topo::us_regions(), rng);
+
+  ScenarioSpec spec;
+  for (const net::HostId h : pool.usable_nodes()) {
+    if (h != 0) spec.nodes.push_back(h);
+  }
+  spec.members = 20;
+  spec.join_phase = 100.0;
+  spec.total_time = 600.0;
+  spec.churn_interval = 100.0;
+  spec.churn_rate = 0.2;
+  spec.crash_fraction = 0.5;
+  spec.degree_min = 2;
+  spec.degree_max = 5;
+  util::Rng scenario_rng(42);
+  const std::vector<WorkloadEvent> events = generate_scenario(spec, scenario_rng);
+
+  std::vector<double> slowness;
+  for (const NodeHealth& h : pool.health) slowness.push_back(h.slowness);
+  const FlakyMetric metric(std::make_unique<overlay::DelayMetric>(),
+                           std::move(slowness), 0.05);
+  sim::Simulator simulator;
+  core::VdmProtocol vdm;
+  ControllerParams cp;
+  cp.measure_interval = 100.0;
+  cp.faults.heartbeat_period = 1.0;
+  cp.faults.heartbeat_misses = 3;
+  cp.faults.heartbeat_timeout = 0.5;
+  MainController controller(simulator, pool.topology.underlay, vdm, metric, cp,
+                            util::Rng(43));
+  const SessionReport report = controller.run(events, spec.total_time);
+
+  double startup_sum = 0.0;
+  for (const double t : report.startup_times) startup_sum += t;
+  double reconnect_sum = 0.0;
+  for (const double t : report.reconnect_times) reconnect_sum += t;
+  EXPECT_EQ(report.loss_rate, 0x1.2d26428e571p-9);
+  EXPECT_EQ(report.overhead, 0x1.ab21a562a0dd5p-3);
+  EXPECT_EQ(report.mst_ratio, 0x1.e15605a245ce8p+0);
+  EXPECT_EQ(report.final_tree.stretch_avg, 0x1.c3e7a252ca32p+0);
+  EXPECT_EQ(report.final_tree.hop_avg, 0x1.d333333333332p+1);
+  EXPECT_EQ(startup_sum, 0x1.506b886c39cb9p+2);
+  EXPECT_EQ(reconnect_sum, 0x1.8e579e5b65c7dp+0);
+  EXPECT_EQ(report.startup_times.size(), 40u);
+  EXPECT_EQ(report.reconnect_times.size(), 12u);
+  EXPECT_EQ(report.epochs.size(), 6u);
+}
+
 TEST(Controller, WorksWithHmtpToo) {
   util::Rng rng(13);
   PoolParams pp;
   pp.num_nodes = 30;
   pp.frac_unresponsive = pp.frac_no_ping_out = pp.frac_agent_broken = 0.0;
   const NodePool pool = make_pool(pp, topo::us_regions(), rng);
-  Scenario sc;
+  std::vector<WorkloadEvent> events;
   for (net::HostId h = 1; h <= 10; ++h) {
-    sc.events.push_back({static_cast<double>(h), h, ScenarioEvent::Action::kJoin, 4});
+    events.push_back({static_cast<double>(h), K::kJoin, h, 4});
   }
-  sc.end_time = 120.0;
-  sc.normalize();
 
   sim::Simulator simulator;
   baselines::HmtpProtocol hmtp;
   overlay::DelayMetric metric;
   MainController controller(simulator, pool.topology.underlay, hmtp, metric,
                             ControllerParams{}, util::Rng(14));
-  const SessionReport report = controller.run(sc);
+  const SessionReport report = controller.run(events, 120.0);
   EXPECT_EQ(report.final_tree.members, 11u);
   EXPECT_GT(report.totals.refines_run, 0u);  // HMTP refinement timers fired
 }
 
 TEST(Controller, FlashBurstExpandsOverUnusedHosts) {
-  // A hand-written scenario: 8 warmup joins, then a 15-strong flash burst.
-  // The controller must expand the burst over host ids used nowhere else
-  // in the scenario and attach every one of them.
+  // A hand-written scenario: 8 warmup joins, then a 15-strong flash crowd
+  // written out as join lines at one instant on hosts used nowhere else.
+  // The concurrent pipeline batches them by timestamp and must attach
+  // every one of them.
   util::Rng rng(31);
   PoolParams pp;
   pp.num_nodes = 40;
   pp.frac_unresponsive = pp.frac_no_ping_out = pp.frac_agent_broken = 0.0;
   const NodePool pool = make_pool(pp, topo::us_regions(), rng);
-  Scenario sc;
+  std::vector<WorkloadEvent> events;
   for (net::HostId h = 1; h <= 8; ++h) {
-    sc.events.push_back({static_cast<double>(h), h, ScenarioEvent::Action::kJoin, 4});
+    events.push_back({static_cast<double>(h), K::kJoin, h, 4});
   }
-  sc.events.push_back({20.0, 15, ScenarioEvent::Action::kFlash, 4});
-  sc.end_time = 120.0;
-  sc.normalize();
+  for (net::HostId h = 9; h <= 23; ++h) events.push_back({20.0, K::kJoin, h, 4});
 
   sim::Simulator simulator;
   core::VdmProtocol vdm;
@@ -366,11 +361,41 @@ TEST(Controller, FlashBurstExpandsOverUnusedHosts) {
   cp.join_mode = overlay::JoinMode::kConcurrent;
   MainController controller(simulator, pool.topology.underlay, vdm, metric, cp,
                             util::Rng(32));
-  const SessionReport report = controller.run(sc);
+  const SessionReport report = controller.run(events, 120.0);
 
   EXPECT_EQ(report.final_tree.members, 24u);  // source + 8 warmup + 15 flash
   EXPECT_EQ(report.totals.joins_completed, 23u);
   EXPECT_GE(report.startup_times.size(), 23u);
+}
+
+TEST(Controller, RejectsInvalidEvents) {
+  // The testbed replays through overlay::validate_trace, like the
+  // simulator's trace path, and refuses events past the end time.
+  util::Rng rng(33);
+  PoolParams pp;
+  pp.num_nodes = 20;
+  pp.frac_unresponsive = pp.frac_no_ping_out = pp.frac_agent_broken = 0.0;
+  const NodePool pool = make_pool(pp, topo::us_regions(), rng);
+  const auto expect_throw_with = [&](const std::vector<WorkloadEvent>& events,
+                                     const std::string& needle) {
+    sim::Simulator simulator;
+    core::VdmProtocol vdm;
+    overlay::DelayMetric metric;
+    MainController controller(simulator, pool.topology.underlay, vdm, metric,
+                              ControllerParams{}, util::Rng(34));
+    try {
+      controller.run(events, 100.0);
+      FAIL() << "expected InvariantError mentioning: " << needle;
+    } catch (const util::InvariantError& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_throw_with({{20.0, K::kJoin, 1, 4}, {10.0, K::kJoin, 2, 4}}, "sorted");
+  expect_throw_with({{10.0, K::kJoin, 0, 4}}, "or the source");
+  expect_throw_with({{10.0, K::kJoin, 20, 4}}, "20-host underlay");
+  expect_throw_with({{10.0, K::kJoin, 1, 0}}, "degree");
+  expect_throw_with({{150.0, K::kJoin, 1, 4}}, "end time");
 }
 
 TEST(FlakyMetric, SlowsMeasurementsOfLazyTargets) {

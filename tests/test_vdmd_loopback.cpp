@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -59,6 +60,13 @@ std::string find_line(const std::vector<std::string>& lines,
     if (l.find(needle) != std::string::npos) return l;
   }
   return {};
+}
+
+/// Writes `text` to a fresh file in the test temp dir; returns its path.
+std::string write_temp(const std::string& name, const std::string& text) {
+  const std::string path = testing::TempDir() + name;
+  std::ofstream(path) << text;
+  return path;
 }
 
 /// "key=value" integer extraction from a stats/summary line.
@@ -121,4 +129,42 @@ TEST(VdmdLoopback, UsageErrorsExitNonZeroWithoutHanging) {
   EXPECT_NE(run_vdmd("").exit_code, 0);
   EXPECT_NE(run_vdmd("--agent").exit_code, 0);  // missing --controller
   EXPECT_NE(run_vdmd("--source --agent").exit_code, 0);
+}
+
+TEST(VdmdLoopback, ScenarioFileDrivesRun) {
+  // The same workload-trace format the simulator replays: four joins, then
+  // one leave. The run streams --stream-secs past the leave and reports
+  // the source plus the three remaining agents.
+  const std::string path = write_temp("vdmd_scenario.csv",
+                                      "# t,join|leave|crash,host[,degree]\n"
+                                      "0.05,join,1,4\n"
+                                      "0.10,join,2,4\n"
+                                      "0.15,join,3,4\n"
+                                      "0.20,join,4,4\n"
+                                      "0.60,leave,2\n");
+  const RunResult r = run_vdmd("--source --agents 4 --spawn --scenario " +
+                               path + " --chunk-rate 20 --stream-secs 1 "
+                               "--deadline 45");
+  SCOPED_TRACE(r.output);
+  ASSERT_EQ(r.exit_code, 0);
+  const std::vector<std::string> lines = lines_of(r.output);
+  EXPECT_EQ(count_matching(lines, "vdmd: 4 agents ready"), 1);
+  const std::string members = find_line(lines, "vdmd: members=");
+  ASSERT_FALSE(members.empty());
+  EXPECT_EQ(field_of(members, "members"), 4);  // source + 3 agents
+  EXPECT_EQ(count_matching(lines, "vdmd: clean shutdown"), 1);
+}
+
+TEST(VdmdLoopback, MalformedScenarioFailsBeforeSpawning) {
+  // A bad line is rejected with its line number before any agent is
+  // forked, so nothing is left waiting for --deadline.
+  const std::string path = write_temp("vdmd_bad_scenario.csv",
+                                      "0.05,join,1,4\n"
+                                      "0.10,join,x,4\n");
+  const RunResult r = run_vdmd("--source --agents 4 --spawn --scenario " +
+                               path + " --deadline 30");
+  SCOPED_TRACE(r.output);
+  EXPECT_NE(r.exit_code, 0);
+  EXPECT_NE(r.output.find("line 2"), std::string::npos);
+  EXPECT_EQ(r.output.find("agents ready"), std::string::npos);
 }

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "experiments/runner.hpp"
-#include "testbed/scenario_file.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
 
@@ -228,6 +227,24 @@ TEST(WorkloadTrace, ParserRejectsMalformedWithLineNumber) {
   expect_throw_with("10,hop,3\n", "line 1");
   expect_throw_with("# ok\n10,join\n", "line 2");
   expect_throw_with("10,flash,50\n", "flash");
+  // Times that are not finite numbers >= 0.
+  expect_throw_with("5,join,1\nabc,join,3\n", "line 2");
+  expect_throw_with("nan,join,3\n", "line 1");
+  expect_throw_with("1e999,join,3\n", "line 1");
+  expect_throw_with("-1,join,3\n", "line 1");
+  expect_throw_with("# t,kind,host\n\n10\n", "line 3");  // no kind
+  // Host ids that wrap, go negative or name kInvalidHost.
+  expect_throw_with("10,join,4294967301,3\n", "line 1");
+  expect_throw_with("10,join,-1\n", "line 1");
+  expect_throw_with("10,join,4294967295\n", "line 1");
+  // Degrees out of int range, fractional or < 1.
+  expect_throw_with("10,join,3,99999999999\n", "line 1");
+  expect_throw_with("10,join,3,2.5\n", "line 1");
+  expect_throw_with("10,join,3,0\n", "line 1");
+  // Trailing fields.
+  expect_throw_with("10,leave,3,garbage\n", "line 1");
+  expect_throw_with("10,crash,3,4\n", "line 1");
+  expect_throw_with("10,join,3,4,4\n", "line 1");
 }
 
 TEST(WorkloadTrace, FileRoundTrip) {
@@ -240,20 +257,6 @@ TEST(WorkloadTrace, FileRoundTrip) {
   load_trace_file(path, back);
   EXPECT_EQ(events, back);
   EXPECT_THROW(load_trace_file(path + ".missing", back), util::InvariantError);
-}
-
-TEST(WorkloadTrace, TestbedScenarioFileLoadsCsvTraces) {
-  // The testbed scenario-file layer accepts the CSV trace format unchanged.
-  const testbed::Scenario s = testbed::parse_scenario(
-      "# vdm workload trace: t,join|leave|crash,host[,degree]\n"
-      "10,join,3,5\n"
-      "30,leave,3\n");
-  ASSERT_GE(s.events.size(), 2u);
-  EXPECT_DOUBLE_EQ(s.events[0].at, 10.0);
-  EXPECT_EQ(s.events[0].node, 3u);
-  EXPECT_EQ(s.events[0].action, testbed::ScenarioEvent::Action::kJoin);
-  EXPECT_EQ(s.events[0].degree_limit, 5);
-  EXPECT_EQ(s.events[1].action, testbed::ScenarioEvent::Action::kLeave);
 }
 
 TEST(WorkloadKindFlag, ParsesAllSpellings) {

@@ -39,8 +39,8 @@
 #include "core/vdm_protocol.hpp"
 #include "overlay/metric.hpp"
 #include "overlay/session.hpp"
+#include "overlay/workload.hpp"
 #include "testbed/controller.hpp"
-#include "testbed/scenario_file.hpp"
 #include "transport/measured_underlay.hpp"
 #include "transport/transport.hpp"
 #include "transport/udp.hpp"
@@ -66,9 +66,9 @@ struct Options {
   std::string controller;     // --agent: "ip:port" of the controller
   std::size_t agents = 4;     // --source: how many agents to expect
   bool spawn = false;         // --source: fork/exec our own agents
-  std::string scenario_path;  // --source: scenario file (verbs) to execute
+  std::string scenario_path;  // --source: workload trace file to execute
   double chunk_rate = 10.0;
-  double stream_secs = 3.0;   // synthesized scenario: stream time after joins
+  double stream_secs = 3.0;   // stream time after the last scenario event
   double deadline = 60.0;     // hard wall-clock cap on the whole run
   std::uint16_t port = 0;     // --source listen port (0 = ephemeral)
   std::string port_file;      // --source: write "ip:port\n" here when bound
@@ -325,6 +325,9 @@ class Controller final : public transport::ProbeService,
   }
 
   int run() {
+    // Load and check the membership events before any agent is forked, so a
+    // malformed scenario file fails fast instead of orphaning the flock.
+    std::vector<overlay::WorkloadEvent> events = scenario_events();
     std::cout << "vdmd: controller listening on "
               << transport::format_peer(sock_.local_addr()) << std::endl;
     if (!opt_.port_file.empty()) {
@@ -352,15 +355,21 @@ class Controller final : public transport::ProbeService,
                                        params, util::Rng(1));
     session_ = &controller.session();
 
-    const testbed::Scenario scenario = build_scenario();
+    // Scenario timestamps are relative to "now": setup (hello gathering)
+    // already burned wall clock, and the reactor clock never rewinds. The
+    // run streams for --stream-secs after the last event.
+    const double base = reactor_.now() + 0.1;
+    for (overlay::WorkloadEvent& e : events) e.at += base;
+    const double end_time =
+        (events.empty() ? base : events.back().at) + opt_.stream_secs;
     // Session::start() resets the tree, which clears the observer slot; the
     // mirror must be installed after that but before the first join fires.
     // A zero-delay timer lands exactly in that window (scenario events are
-    // shifted >= 0.1s into the future by build_scenario).
+    // shifted >= 0.1s into the future above).
     reactor_.schedule_in(0.0, [this] { session_->tree().set_observer(this); });
     transport::PeriodicTimer stream(reactor_, 1.0 / opt_.chunk_rate,
                                     [this] { emit_chunk(); });
-    const testbed::SessionReport report = controller.run(scenario);
+    const testbed::SessionReport report = controller.run(events, end_time);
     stream.stop();
 
     std::cout << "vdmd: members=" << session_->tree().alive_count()
@@ -484,29 +493,21 @@ class Controller final : public transport::ProbeService,
     return ready_agents() == opt_.agents;
   }
 
-  testbed::Scenario build_scenario() {
-    testbed::Scenario scenario;
+  /// The --scenario file's events, or every agent joining back-to-back;
+  /// timestamps are relative to the end of setup.
+  std::vector<overlay::WorkloadEvent> scenario_events() const {
+    std::vector<overlay::WorkloadEvent> events;
     if (!opt_.scenario_path.empty()) {
-      std::ifstream in(opt_.scenario_path);
-      VDM_REQUIRE_MSG(in.good(), "cannot open scenario " + opt_.scenario_path);
-      scenario = testbed::parse_scenario(in);
+      overlay::load_trace_file(opt_.scenario_path, events);
     } else {
-      // Synthesized: join every agent back-to-back, then stream.
       for (std::size_t i = 1; i <= opt_.agents; ++i) {
-        scenario.events.push_back(
-            {0.05 * static_cast<double>(i), static_cast<net::HostId>(i),
-             testbed::ScenarioEvent::Action::kJoin, opt_.degree});
+        events.push_back({0.05 * static_cast<double>(i),
+                          overlay::WorkloadEvent::Kind::kJoin,
+                          static_cast<net::HostId>(i), opt_.degree});
       }
-      scenario.end_time =
-          0.05 * static_cast<double>(opt_.agents) + opt_.stream_secs;
-      scenario.normalize();
     }
-    // Scenario timestamps are relative to "now": setup (hello gathering)
-    // already burned wall clock, and the reactor clock never rewinds.
-    const double base = reactor_.now() + 0.1;
-    for (testbed::ScenarioEvent& e : scenario.events) e.at += base;
-    scenario.end_time += base;
-    return scenario;
+    overlay::validate_trace(events, opt_.agents + 1, 0);
+    return events;
   }
 
   void emit_chunk() {
