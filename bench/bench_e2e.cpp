@@ -21,11 +21,9 @@
 #include "experiments/sweep.hpp"
 #include "metrics/tree_metrics.hpp"
 #include "net/graph_underlay.hpp"
-#include "net/routing.hpp"
 #include "overlay/membership.hpp"
 #include "sim/simulator.hpp"
 #include "topology/transit_stub.hpp"
-#include "topology/waxman.hpp"
 #include "util/rng.hpp"
 #include "util/task_pool.hpp"
 #include "wire/wire.hpp"
@@ -243,90 +241,6 @@ BENCHMARK(BM_RunOnceCoord)
     ->Arg(2048)
     ->Arg(65536)
     ->Unit(benchmark::kMillisecond);
-
-/// Incremental SSSP repair vs fresh Dijkstra on a Waxman router graph. Each
-/// iteration replays a fixed list of paired raise/lower delay edits
-/// (Graph::mutable_link) and re-queries eight warm source trees after every
-/// edit, so the Router repairs just the affected cone each time; the pairing
-/// nets the delays back to their originals, keeping the bench steady-state
-/// for any iteration count. repair_visit_fraction is the o(V) gate: nodes
-/// re-settled per edit over the full-rebuild equivalent (sources x V) —
-/// far below 1, independent of host speed. full_recomputes_per_iter counts
-/// give-up fallbacks (expected 0 here). speedup_vs_full_dijkstra compares
-/// against the pre-repair behaviour (clear_cache + rebuild every warm tree
-/// after each edit), timed once outside the loop.
-void BM_IncrementalReroute(benchmark::State& state) {
-  util::Rng rng(7);
-  topo::WaxmanParams wp;
-  wp.num_routers = static_cast<std::size_t>(state.range(0));
-  wp.loss_max = 0.02;
-  topo::WaxmanTopology topo = topo::make_waxman(wp, rng);
-  net::Graph& g = topo.graph;
-  const std::size_t n = g.num_nodes();
-
-  std::vector<net::NodeId> sources;
-  for (std::size_t i = 0; i < 8; ++i) {
-    sources.push_back(static_cast<net::NodeId>((n * i) / 8));
-  }
-  struct Edit {
-    net::LinkId link;
-    double factor;
-  };
-  std::vector<Edit> edits;
-  for (int i = 0; i < 32; ++i) {
-    const auto l = static_cast<net::LinkId>(
-        rng.uniform_int(0, static_cast<std::int64_t>(g.num_links()) - 1));
-    const double f = rng.uniform(1.05, 2.0);
-    edits.push_back({l, f});
-    edits.push_back({l, 1.0 / f});
-  }
-
-  // Fresh-Dijkstra reference: rebuild every warm tree after each edit, the
-  // cost the repair path replaces. One pass, timed with its own Router.
-  const auto f0 = std::chrono::steady_clock::now();
-  {
-    net::Router fresh(g);
-    for (const net::NodeId s : sources) fresh.delay(s, 0);
-    for (const Edit& e : edits) {
-      g.mutable_link(e.link).delay *= e.factor;
-      fresh.clear_cache();
-      for (const net::NodeId s : sources) fresh.delay(s, 0);
-    }
-  }
-  const double full_secs =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - f0).count();
-
-  net::Router router(g);
-  for (const net::NodeId s : sources) router.delay(s, 0);  // warm trees
-  const std::uint64_t visits_before = router.repair_visits();
-  const std::uint64_t fulls_before = router.full_recomputes();
-  double repair_secs = 0.0;
-  for (auto _ : state) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (const Edit& e : edits) {
-      g.mutable_link(e.link).delay *= e.factor;
-      for (const net::NodeId s : sources) {
-        benchmark::DoNotOptimize(router.delay(s, 0));
-      }
-    }
-    repair_secs +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  }
-  const auto iters = static_cast<double>(state.iterations());
-  const double total_edits = iters * static_cast<double>(edits.size());
-  const double visits_per_edit =
-      static_cast<double>(router.repair_visits() - visits_before) / total_edits;
-  state.counters["repair_visits_per_edit"] = visits_per_edit;
-  state.counters["repair_visit_fraction"] =
-      visits_per_edit / (static_cast<double>(sources.size()) * static_cast<double>(n));
-  state.counters["full_recomputes_per_iter"] =
-      static_cast<double>(router.full_recomputes() - fulls_before) / iters;
-  state.counters["speedup_vs_full_dijkstra"] =
-      repair_secs > 0.0
-          ? (full_secs / static_cast<double>(edits.size())) / (repair_secs / total_edits)
-          : 0.0;
-}
-BENCHMARK(BM_IncrementalReroute)->Arg(512)->Unit(benchmark::kMillisecond);
 
 /// Flash crowd on the coordinate-embedded US underlay: a 1024-member
 /// steady-state overlay absorbs range(0) simultaneous joiners through the

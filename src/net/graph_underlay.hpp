@@ -21,7 +21,8 @@ namespace vdm::net {
 /// of the same pair — the common case under refinement, churn, and the
 /// per-chunk data plane — are a single array read. The cache is stamped
 /// per-pair with an epoch that bumps when Graph::version() changes, so
-/// invalidation is O(1) and allocation-free.
+/// invalidation is O(1) and allocation-free. The topology is fixed once
+/// built; release()/rebind() is the only way to seat a different one.
 class GraphUnderlay final : public Underlay {
  public:
   /// Takes ownership of the graph. `hosts` maps HostId -> graph vertex.
@@ -56,7 +57,6 @@ class GraphUnderlay final : public Underlay {
   }
 
   const Graph& graph() const { return graph_; }
-  Graph& mutable_graph() { return graph_; }
   const Router& router() const { return router_; }
   NodeId host_vertex(HostId h) const { return hosts_.at(h); }
 
@@ -73,8 +73,8 @@ class GraphUnderlay final : public Underlay {
   void release(Graph& graph_out, std::vector<NodeId>& hosts_out);
 
   /// Seats a freshly built topology, keeping the capacity of every cache.
-  /// The router and pair caches invalidate via the graph's monotone
-  /// version, exactly as a mutation would.
+  /// The router and pair caches invalidate; this is the only thing that
+  /// ever invalidates them.
   void rebind(Graph graph, std::vector<NodeId> hosts);
 
   /// Heap bytes reserved by the graph, router cache, pair cache and host

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
-#include <stdexcept>
 
 namespace vdm::util {
 
@@ -51,15 +50,13 @@ std::string Flags::get(const std::string& name, const std::string& def) const {
 }
 
 std::int64_t Flags::get_int(const std::string& name, std::int64_t def) const {
-  const std::string v = get(name, "");
-  if (v.empty()) return def;
-  return std::stoll(v);
+  if (!has(name)) return def;
+  return parse_flag_value<std::int64_t>(name, get(name, ""));
 }
 
 double Flags::get_double(const std::string& name, double def) const {
-  const std::string v = get(name, "");
-  if (v.empty()) return def;
-  return std::stod(v);
+  if (!has(name)) return def;
+  return parse_flag_value<double>(name, get(name, ""));
 }
 
 bool Flags::get_bool(const std::string& name, bool def) const {

@@ -1,11 +1,28 @@
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 namespace vdm::util {
+
+/// Parses the whole of `text` as a `T` (base-10 integer, or a decimal double)
+/// for the option `--name`. An empty string, trailing characters ("12x") or
+/// an out-of-range value throw std::invalid_argument naming the option, so
+/// a typo never runs silently with a numeric prefix.
+template <typename T>
+T parse_flag_value(const std::string& name, const std::string& text) {
+  T value{};
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    throw std::invalid_argument("bad value '" + text + "' for --" + name);
+  }
+  return value;
+}
 
 /// Minimal command-line flag parser for example and bench binaries.
 ///
@@ -14,6 +31,8 @@ namespace vdm::util {
 /// variable `VDM_<NAME>` (uppercased, dashes to underscores), then to the
 /// caller's default. This lets the paper-scale knobs (seeds, node counts)
 /// be raised fleet-wide with env vars without editing every invocation.
+/// get_int/get_double reject a present value that does not parse whole
+/// (see parse_flag_value).
 class Flags {
  public:
   Flags(int argc, const char* const* argv);

@@ -1,8 +1,10 @@
 // Property tests for the zero-allocation routing fast path: the dense
 // epoch-stamped Router cache, the fused path_stats walk, the visitor API,
 // and the GraphUnderlay host-pair cache must all agree with a plain
-// reference Dijkstra — on random Waxman and transit-stub graphs, and again
-// after Graph version bumps invalidate every cache.
+// reference Dijkstra — on random Waxman and transit-stub graphs, after
+// Graph version bumps invalidate every tree, and after
+// GraphUnderlay::release()/rebind() seats a different topology (the path a
+// sweep worker's run arena takes between seeds).
 
 #include <gtest/gtest.h>
 
@@ -119,6 +121,25 @@ void expect_matches_reference(const Graph& g, const Router& r,
   }
 }
 
+/// Reseats `u` on a freshly generated transit-stub topology the way the run
+/// arena does between seeds: release() the buffers, rebuild into them,
+/// rebind(). `direct_pair`, when set, adds a short link between the vertices
+/// of hosts 0 and 1 before rebinding, so that pair's path must change.
+void rebind_transit_stub(GraphUnderlay& u, const topo::TransitStubParams& tp,
+                         std::size_t num_hosts, std::uint64_t seed,
+                         bool direct_pair = false) {
+  util::Rng rng(seed);
+  topo::TransitStubTopology topo;
+  std::vector<NodeId> hosts;
+  u.release(topo.graph, hosts);
+  topo::make_transit_stub(tp, rng, topo);
+  topo::HostAttachment hp;
+  hp.num_hosts = num_hosts;
+  topo::attach_hosts_into(topo.graph, topo.stub_routers, hp, rng, hosts);
+  if (direct_pair) topo.graph.add_link(hosts[0], hosts[1], 0.0001);
+  u.rebind(std::move(topo.graph), std::move(hosts));
+}
+
 Graph waxman_graph(std::uint64_t seed, double loss_max) {
   util::Rng rng(seed);
   topo::WaxmanParams wp;
@@ -163,13 +184,6 @@ TEST(RoutingFastPath, SurvivesGraphVersionBumps) {
     g.add_link(a, b, rng.uniform(0.001, 0.005), 0.005);
     expect_matches_reference(g, r, 11);
   }
-
-  // In-place mutation through mutable_link must also bump version() and
-  // invalidate (delay changes reroute, loss changes re-weight paths).
-  const LinkId edited = 0;
-  g.mutable_link(edited).delay *= 0.1;
-  g.mutable_link(edited).loss = 0.05;
-  expect_matches_reference(g, r, 11);
 }
 
 TEST(RoutingFastPath, GraphUnderlayPairCacheMatchesRouter) {
@@ -211,14 +225,16 @@ TEST(RoutingFastPath, GraphUnderlayPairCacheMatchesRouter) {
   };
   check_all_pairs();
 
-  // Warm cache, then bump the graph version and require recomputation.
-  u.mutable_graph().mutable_link(0).delay *= 10.0;
+  // Warm caches, then rebind onto a different topology (other seed, other
+  // host count): every pair must be recomputed against the new graph.
+  EXPECT_GT(u.path_hops(0, 1), 1u);
+  rebind_transit_stub(u, tp, 31, 42);
+  ASSERT_EQ(u.num_hosts(), 31u);
   check_all_pairs();
-  const NodeId v0 = u.host_vertex(0);
-  const NodeId v1 = u.host_vertex(1);
-  u.mutable_graph().add_link(v0, v1, 0.0001);
+  // A warm pair whose only change is a new direct link must see it too.
+  rebind_transit_stub(u, tp, 31, 42, /*direct_pair=*/true);
   check_all_pairs();
-  EXPECT_EQ(u.path_hops(0, 1), 1u);  // the new direct link must win
+  EXPECT_EQ(u.path_hops(0, 1), 1u);
 }
 
 TEST(RoutingFastPath, PairCacheIsSymmetricOnUndirectedGraphs) {
@@ -275,12 +291,16 @@ TEST(RoutingFastPath, MeasureTreeScratchReuseIsExact) {
   hp.num_hosts = 40;
   GraphUnderlay u = topo::make_transit_stub_underlay(tp, hp, rng);
 
-  overlay::Membership tree(u.num_hosts());
-  for (HostId h = 0; h < u.num_hosts(); ++h) tree.activate(h, 4);
-  for (HostId h = 1; h < u.num_hosts(); ++h) {
-    const HostId parent = static_cast<HostId>(rng.uniform_int(0, h - 1));
-    tree.attach(h, parent, u.rtt(parent, h), /*allow_full=*/true);
-  }
+  const auto random_tree = [&rng, &u] {
+    overlay::Membership tree(u.num_hosts());
+    for (HostId h = 0; h < u.num_hosts(); ++h) tree.activate(h, 4);
+    for (HostId h = 1; h < u.num_hosts(); ++h) {
+      const HostId parent = static_cast<HostId>(rng.uniform_int(0, h - 1));
+      tree.attach(h, parent, u.rtt(parent, h), /*allow_full=*/true);
+    }
+    return tree;
+  };
+  const overlay::Membership tree = random_tree();
 
   const auto expect_same = [](const metrics::TreeMetrics& x,
                               const metrics::TreeMetrics& y) {
@@ -305,11 +325,14 @@ TEST(RoutingFastPath, MeasureTreeScratchReuseIsExact) {
   // Neither does a throwaway scratch.
   expect_same(first, metrics::measure_tree(tree, 0, u));
 
-  // After a graph mutation all three still agree with each other.
-  u.mutable_graph().mutable_link(0).delay *= 4.0;
-  const metrics::TreeMetrics after = metrics::measure_tree(tree, 0, u, scratch);
-  expect_same(after, metrics::measure_tree(tree, 0, u, scratch));
-  expect_same(after, metrics::measure_tree(tree, 0, u));
+  // After a rebind onto a larger topology all three still agree with each
+  // other: the warm scratch and caches carry nothing over.
+  rebind_transit_stub(u, tp, 52, 72);
+  const overlay::Membership grown = random_tree();
+  const metrics::TreeMetrics after = metrics::measure_tree(grown, 0, u, scratch);
+  EXPECT_EQ(after.members, 52u);
+  expect_same(after, metrics::measure_tree(grown, 0, u, scratch));
+  expect_same(after, metrics::measure_tree(grown, 0, u));
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/flags.hpp"
 #include "util/log.hpp"
@@ -115,6 +116,28 @@ TEST(Flags, CommandLineBeatsEnvironment) {
   const Flags f = make_flags({"--priority=2"});
   EXPECT_EQ(f.get_int("priority", 0), 2);
   ::unsetenv("VDM_PRIORITY");
+}
+
+TEST(Flags, NumericValuesMustParseWhole) {
+  // A numeric prefix must not pass as the number, and a present but empty
+  // value is not the default.
+  for (const char* bad : {"--n=12x", "--n=abc", "--n="}) {
+    const Flags f = make_flags({bad});
+    EXPECT_THROW(f.get_int("n", 1), std::invalid_argument) << bad;
+    EXPECT_THROW(f.get_double("n", 1.0), std::invalid_argument) << bad;
+  }
+  EXPECT_THROW(make_flags({"--n", "1.5"}).get_int("n", 1), std::invalid_argument);
+  EXPECT_THROW(make_flags({"--x=0.5s"}).get_double("x", 1.0), std::invalid_argument);
+  EXPECT_EQ(make_flags({"--n=-3"}).get_int("n", 1), -3);
+  EXPECT_DOUBLE_EQ(make_flags({"--x=2.5e-1"}).get_double("x", 1.0), 0.25);
+  try {
+    make_flags({"--members=12x"}).get_int("members", 1);
+    FAIL() << "should have thrown";
+  } catch (const std::invalid_argument& e) {
+    // The message names the option and echoes the value.
+    EXPECT_NE(std::string(e.what()).find("--members"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("12x"), std::string::npos);
+  }
 }
 
 // ---------------------------------------------------------------- Require

@@ -131,6 +131,20 @@ TEST(VdmdLoopback, UsageErrorsExitNonZeroWithoutHanging) {
   EXPECT_NE(run_vdmd("--source --agent").exit_code, 0);
 }
 
+TEST(VdmdLoopback, MalformedOptionValueIsAUsageError) {
+  // A non-numeric count is rejected with exit 2 before anything binds or
+  // forks; so are a numeric prefix and a port that does not fit 16 bits.
+  for (const char* args : {"--source --spawn --agents abc --deadline 30",
+                           "--source --spawn --agents 4x --deadline 30",
+                           "--source --spawn --port 70000 --deadline 30"}) {
+    const RunResult r = run_vdmd(args);
+    SCOPED_TRACE(r.output);
+    EXPECT_EQ(r.exit_code, 2) << args;
+    EXPECT_EQ(r.output.find("listening"), std::string::npos);
+    EXPECT_EQ(r.output.find("agents ready"), std::string::npos);
+  }
+}
+
 TEST(VdmdLoopback, ScenarioFileDrivesRun) {
   // The same workload-trace format the simulator replays: four joins, then
   // one leave. The run streams --stream-secs past the leave and reports

@@ -32,6 +32,7 @@
 #include <iostream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -44,6 +45,7 @@
 #include "transport/measured_underlay.hpp"
 #include "transport/transport.hpp"
 #include "transport/udp.hpp"
+#include "util/flags.hpp"
 #include "util/log.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
@@ -94,18 +96,23 @@ Options parse_options(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    // Numeric values must parse whole and fit their type, or
+    // std::invalid_argument reaches main() as a usage error.
+    const auto number = [&]<typename T>(T& out) {
+      out = util::parse_flag_value<T>(arg.substr(2), value());
+    };
     if (arg == "--source") opt.source = true;
     else if (arg == "--agent") opt.agent = true;
     else if (arg == "--controller") opt.controller = value();
-    else if (arg == "--agents") opt.agents = std::stoul(value());
+    else if (arg == "--agents") number(opt.agents);
     else if (arg == "--spawn") opt.spawn = true;
     else if (arg == "--scenario") opt.scenario_path = value();
-    else if (arg == "--chunk-rate") opt.chunk_rate = std::stod(value());
-    else if (arg == "--stream-secs") opt.stream_secs = std::stod(value());
-    else if (arg == "--deadline") opt.deadline = std::stod(value());
-    else if (arg == "--port") opt.port = static_cast<std::uint16_t>(std::stoul(value()));
+    else if (arg == "--chunk-rate") number(opt.chunk_rate);
+    else if (arg == "--stream-secs") number(opt.stream_secs);
+    else if (arg == "--deadline") number(opt.deadline);
+    else if (arg == "--port") number(opt.port);
     else if (arg == "--port-file") opt.port_file = value();
-    else if (arg == "--degree") opt.degree = std::stoi(value());
+    else if (arg == "--degree") number(opt.degree);
     else if (arg == "--verbose") opt.verbose = true;
     else usage(argv[0]);
   }
@@ -716,7 +723,13 @@ int main(int argc, char** argv) {
   using namespace vdm;
   // Agents outlive a controller that dies mid-send; never crash on EPIPE.
   ::signal(SIGPIPE, SIG_IGN);
-  const Options opt = parse_options(argc, argv);
+  Options opt;
+  try {
+    opt = parse_options(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "vdmd: " << e.what() << " (run without options for usage)\n";
+    return 2;
+  }
   if (opt.verbose) util::set_log_level(util::LogLevel::kInfo);
   try {
     if (opt.agent) {

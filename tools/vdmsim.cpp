@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <iostream>
 #include <span>
+#include <stdexcept>
 #include <string>
 
 #include "experiments/runner.hpp"
@@ -102,10 +103,7 @@ class StdoutWalkTrace final : public overlay::WalkObserver {
   }
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
+int run(const util::Flags& flags) {
   if (flags.get_bool("help", false)) return usage();
 
   RunConfig cfg;
@@ -166,9 +164,14 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  cfg.scenario.target_members = static_cast<std::size_t>(
-      flags.has("nodes") ? flags.get_int("nodes", 200)
-                         : flags.get_int("members", 200));
+  const std::int64_t members = flags.has("nodes")
+                                   ? flags.get_int("nodes", 200)
+                                   : flags.get_int("members", 200);
+  if (members < 1) {
+    std::cerr << "--members must be at least 1 (see --help)\n";
+    return 2;
+  }
+  cfg.scenario.target_members = static_cast<std::size_t>(members);
   cfg.scenario.churn_rate = flags.get_double("churn", 0.05);
   cfg.scenario.join_phase = flags.get_double("join-phase", 2000.0);
   cfg.scenario.total_time = flags.get_double("total-time", 10000.0);
@@ -257,7 +260,12 @@ int main(int argc, char** argv) {
                  "(--mst forces it)\n";
   }
 
-  const auto seeds = static_cast<std::size_t>(flags.get_int("seeds", 8));
+  const std::int64_t seeds_flag = flags.get_int("seeds", 8);
+  if (seeds_flag < 1) {
+    std::cerr << "--seeds must be at least 1 (see --help)\n";
+    return 2;
+  }
+  const auto seeds = static_cast<std::size_t>(seeds_flag);
 
   SweepOptions sweep;
   sweep.threads = static_cast<std::size_t>(flags.get_int("threads", 0));
@@ -353,4 +361,20 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const util::Flags flags(argc, argv);
+  try {
+    return run(flags);
+  } catch (const std::invalid_argument& e) {
+    // A malformed option value is a usage error, like an unknown one.
+    std::cerr << "vdmsim: " << e.what() << " (see --help)\n";
+    return 2;
+  } catch (const std::exception& e) {
+    std::cerr << "vdmsim: fatal: " << e.what() << "\n";
+    return 1;
+  }
 }
