@@ -208,7 +208,9 @@ BENCHMARK(BM_ChurnTrace)->Arg(1024)->Unit(benchmark::kMillisecond);
 /// timeline is compressed (fewer epochs, lighter chunk rate) so the 65536
 /// row measures tree construction + SoA chunk flood, not wall-clock filler.
 /// arena_grow_per_iter must be exactly 0 after the warm run, same contract
-/// as BM_RunOnceArena.
+/// as BM_RunOnceArena. bytes_per_member is the warm arena's reserved heap
+/// (RunScratch::capacity_bytes) over the member count; the 1048576 row is
+/// the million-member run.
 void BM_RunOnceCoord(benchmark::State& state) {
   experiments::RunConfig cfg;
   cfg.substrate = experiments::Substrate::kCoordPlane;
@@ -236,10 +238,14 @@ void BM_RunOnceCoord(benchmark::State& state) {
   state.counters["arena_grow_per_iter"] =
       static_cast<double>(scratch.grow_events() - grows_before) / iters;
   state.counters["allocs_per_iter"] = static_cast<double>(allocs) / iters;
+  state.counters["bytes_per_member"] =
+      static_cast<double>(scratch.capacity_bytes()) /
+      static_cast<double>(cfg.scenario.target_members);
 }
 BENCHMARK(BM_RunOnceCoord)
     ->Arg(2048)
     ->Arg(65536)
+    ->Arg(1048576)
     ->Unit(benchmark::kMillisecond);
 
 /// Flash crowd on the coordinate-embedded US underlay: a 1024-member
@@ -248,8 +254,12 @@ BENCHMARK(BM_RunOnceCoord)
 /// sustained sim-time throughput of the burst cohort, startup_p99_ms the
 /// tail attach latency. speedup_vs_sequential compares the same burst
 /// through the baseline one-walk-at-a-time path (measured once, outside the
-/// timed loop) — the gate requires >= 3x at 65536. arena_grow_per_iter must
-/// be exactly 0 after the warm run, same contract as BM_RunOnceArena.
+/// timed loop) — the gate requires >= 3x at 65536. host_us_per_join is the
+/// wall clock of a timed run over the base + flash joins it performs (the
+/// run's flood and captures included), and stretch_vs_sequential /
+/// hops_vs_sequential put the concurrent tree's quality next to the
+/// baseline's: >1 means the fast path built a worse tree. arena_grow_per_iter
+/// must be exactly 0 after the warm run, same contract as BM_RunOnceArena.
 void BM_FlashCrowd(benchmark::State& state) {
   experiments::RunConfig cfg;
   cfg.substrate = experiments::Substrate::kCoordUs;
@@ -276,17 +286,32 @@ void BM_FlashCrowd(benchmark::State& state) {
   const std::uint64_t grows_before = scratch.grow_events();
   double joins_per_sec = 0.0;
   double startup_p99 = 0.0;
+  double stretch = 0.0;
+  double hops = 0.0;
+  std::chrono::steady_clock::duration wall{};
   for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
     experiments::RunResult r = experiments::run_once(cfg, scratch);
+    wall += std::chrono::steady_clock::now() - t0;
     joins_per_sec = r.join_rate;
     startup_p99 = r.startup_p99;
+    stretch = r.stretch;
+    hops = r.hopcount;
     benchmark::DoNotOptimize(r);
   }
   const auto iters = static_cast<double>(state.iterations());
+  const auto joins =
+      static_cast<double>(cfg.scenario.target_members + cfg.scenario.flash_count);
   state.counters["joins_per_sec"] = joins_per_sec;
+  state.counters["host_us_per_join"] =
+      std::chrono::duration<double, std::micro>(wall).count() / iters / joins;
   state.counters["startup_p99_ms"] = startup_p99 * 1e3;
   state.counters["speedup_vs_sequential"] =
       baseline.join_rate > 0.0 ? joins_per_sec / baseline.join_rate : 0.0;
+  state.counters["stretch_vs_sequential"] =
+      baseline.stretch > 0.0 ? stretch / baseline.stretch : 0.0;
+  state.counters["hops_vs_sequential"] =
+      baseline.hopcount > 0.0 ? hops / baseline.hopcount : 0.0;
   state.counters["arena_grow_per_iter"] =
       static_cast<double>(scratch.grow_events() - grows_before) / iters;
 }

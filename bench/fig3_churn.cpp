@@ -13,8 +13,9 @@ using namespace vdm;
 using namespace vdm::bench;
 using namespace vdm::experiments;
 
-int main(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
+namespace {
+
+int run(const util::Flags& flags) {
   const std::size_t seeds =
       static_cast<std::size_t>(flags.get_int("seeds", static_cast<std::int64_t>(default_seeds(6, 32))));
   const auto members = static_cast<std::size_t>(flags.get_int("members", 200));
@@ -86,3 +87,7 @@ int main(int argc, char** argv) {
        &AggregateResult::overhead, 4);
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

@@ -13,8 +13,9 @@
 using namespace vdm;
 using namespace vdm::bench;
 
-int main(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
+namespace {
+
+int run(const util::Flags& flags) {
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 11));
   const auto members = static_cast<std::size_t>(flags.get_int("members", 40));
 
@@ -91,3 +92,7 @@ int main(int argc, char** argv) {
             << ", MST ratio " << util::Table::fmt(report.mst_ratio) << '\n';
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

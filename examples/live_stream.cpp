@@ -67,10 +67,7 @@ Outcome run(overlay::Protocol& protocol, std::size_t viewers, double churn,
   return o;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
+int run_example(const util::Flags& flags) {
   const auto viewers = static_cast<std::size_t>(flags.get_int("viewers", 80));
   const double churn = flags.get_double("churn", 0.05);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 21));
@@ -101,3 +98,7 @@ int main(int argc, char** argv) {
                "messages (the overhead row); VDM places nodes once, by direction.\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run_example); }

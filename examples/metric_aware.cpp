@@ -63,10 +63,7 @@ Outcome run(const overlay::MetricProvider& metric, std::size_t members,
   return o;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
+int run_example(const util::Flags& flags) {
   const auto members = static_cast<std::size_t>(flags.get_int("members", 60));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 5));
 
@@ -94,3 +91,7 @@ int main(int argc, char** argv) {
                "sits in between. Same protocol, different virtual distance.\n";
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run_example); }

@@ -25,8 +25,9 @@
 
 using namespace vdm;
 
-int main(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
+namespace {
+
+int run(const util::Flags& flags) {
   const auto pool_size = static_cast<std::size_t>(flags.get_int("nodes", 80));
   const auto members = static_cast<std::size_t>(flags.get_int("members", 30));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 3));
@@ -125,3 +126,7 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+}  // namespace
+
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }

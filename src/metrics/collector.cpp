@@ -20,6 +20,7 @@ std::size_t CollectorScratch::capacity_bytes() const {
            tree.links_touched.capacity() * sizeof(net::LinkId) +
            tree.overlay_delay.capacity() * sizeof(double) +
            tree.order.capacity() * sizeof(net::HostId) +
+           tree.depth.capacity() * sizeof(std::uint32_t) +
            (tree.edge_delay.capacity() + tree.direct_delay.capacity()) *
                sizeof(double);
   return bytes;

@@ -12,10 +12,7 @@ TreeMetrics measure_tree(const overlay::Membership& tree, net::HostId source,
                          const net::Underlay& underlay,
                          TreeMetricsScratch& scratch, int threads) {
   TreeMetrics out;
-  const std::size_t num_hosts = tree.num_hosts();
-  for (net::HostId h = 0; h < num_hosts; ++h) {
-    if (tree.member(h).alive) ++out.members;
-  }
+  out.members = tree.alive_count();
   if (!tree.member(source).alive) return out;
 
   // Size the flat arrays once; capacity persists across captures. The new
@@ -25,11 +22,12 @@ TreeMetrics measure_tree(const overlay::Membership& tree, net::HostId source,
     scratch.link_count.resize(underlay.num_links(), 0);
     scratch.link_epoch.resize(underlay.num_links(), 0);
   }
-  if (scratch.overlay_delay.size() < num_hosts) {
-    scratch.overlay_delay.resize(num_hosts, 0.0);
+  if (scratch.overlay_delay.size() < tree.num_hosts()) {
+    scratch.overlay_delay.resize(tree.num_hosts(), 0.0);
   }
   scratch.links_touched.clear();
   scratch.order.clear();
+  scratch.depth.clear();
 
   // Per-physical-link traversal counts over all overlay edges -> stress.
   std::size_t traversals = 0;
@@ -46,10 +44,15 @@ TreeMetrics measure_tree(const overlay::Membership& tree, net::HostId source,
 
   // BFS down the tree collects the visit order (children-list walks only,
   // no underlay reads yet). order[i]'s tree parent is member(order[i]).parent.
+  // A parent is visited before its children, so each child's hop count is
+  // its parent's plus one: depths cost O(1) per member, not a chain walk.
   scratch.order.push_back(source);
+  scratch.depth.push_back(0);
   for (std::size_t i = 0; i < scratch.order.size(); ++i) {
+    const std::uint32_t child_depth = scratch.depth[i] + 1;
     for (const net::HostId c : tree.member(scratch.order[i]).children) {
       scratch.order.push_back(c);
+      scratch.depth.push_back(child_depth);
     }
   }
 
@@ -91,7 +94,7 @@ TreeMetrics measure_tree(const overlay::Membership& tree, net::HostId source,
     const net::HostId h = scratch.order[i];
     const double direct = scratch.direct_delay[i];
     const double stretch = direct > 0.0 ? scratch.overlay_delay[h] / direct : 1.0;
-    const auto hops = static_cast<double>(tree.depth(h));
+    const auto hops = static_cast<double>(scratch.depth[i]);
     stretch_all.add(stretch);
     hops_all.add(hops);
     if (tree.member(h).children.empty()) {

@@ -53,6 +53,7 @@ struct TreeMetricsScratch {
   std::vector<net::LinkId> links_touched;  // distinct links hit this epoch
   std::vector<double> overlay_delay;       // source->host delay per HostId
   std::vector<net::HostId> order;          // BFS visit order
+  std::vector<std::uint32_t> depth;        // overlay hops of order[i]
   /// Per-order-index underlay reads (uplink edge delay, direct
   /// source->host delay) — the pure pass the parallel capture fans out.
   std::vector<double> edge_delay;

@@ -185,6 +185,11 @@ bool Membership::subtree_has_capacity(HostId root, HostId exclude) const {
 }
 
 bool Membership::is_ancestor(HostId ancestor, HostId node) const {
+  // Every proper ancestor has a child on the path below it (parent and
+  // children pointers agree, see validate()), so a childless `ancestor` can
+  // only match `node` itself. This answers the cycle checks for every fresh
+  // joiner in O(1); only members with a subtree (orphans) walk the chain.
+  if (ancestor != node && members_.at(ancestor).children.empty()) return false;
   for (HostId at = node; at != kInvalidHost; at = members_.at(at).parent) {
     if (at == ancestor) return true;
   }

@@ -175,15 +175,19 @@ class Membership {
   /// descending into a subtree with no attachment point.
   bool subtree_has_capacity(HostId root, HostId exclude = kInvalidHost) const;
 
-  /// True if `ancestor` appears on `node`'s root path (or equals it).
+  /// True if `ancestor` appears on `node`'s root path (or equals it). O(1)
+  /// when `ancestor` has no children (a fresh joiner); otherwise walks
+  /// `node`'s parent chain.
   bool is_ancestor(HostId ancestor, HostId node) const;
 
   /// Root path of `node` starting at its parent, ending at the tree root.
   std::vector<HostId> root_path(HostId node) const;
 
   /// Overlay hop count from `node` up to the root of its fragment (0 for a
-  /// fragment root, including a detached member). Use is_ancestor(source,
-  /// node) to check whether the fragment is the source's tree.
+  /// fragment root, including a detached member), by walking the parent
+  /// chain: O(depth). Use is_ancestor(source, node) to check whether the
+  /// fragment is the source's tree. Whole-tree sweeps (measure_tree) derive
+  /// depths from their BFS instead.
   std::size_t depth(HostId node) const;
 
   /// All alive members (connected or not).

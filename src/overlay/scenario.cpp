@@ -46,10 +46,12 @@ ScenarioDriver::ScenarioDriver(Session& session, const ScenarioParams& params,
   if (scratch_ != nullptr) {
     available_ = std::move(scratch_->available);
     in_overlay_ = std::move(scratch_->in_overlay);
+    overlay_pos_ = std::move(scratch_->overlay_pos);
     pending_leave_ = std::move(scratch_->pending_leave);
     available_.clear();
     in_overlay_.clear();
   }
+  overlay_pos_.assign(session.underlay().num_hosts(), kNotMember);
   pending_leave_.assign(session.underlay().num_hosts(), 0);
   for (net::HostId h = 0; h < session.underlay().num_hosts(); ++h) {
     if (h != session.source()) available_.push_back(h);
@@ -60,6 +62,7 @@ ScenarioDriver::~ScenarioDriver() {
   if (scratch_ == nullptr) return;
   scratch_->available = std::move(available_);
   scratch_->in_overlay = std::move(in_overlay_);
+  scratch_->overlay_pos = std::move(overlay_pos_);
   scratch_->pending_leave = std::move(pending_leave_);
 }
 
@@ -103,49 +106,53 @@ net::HostId ScenarioDriver::draw_victim() {
   }
 }
 
+void ScenarioDriver::add_member(net::HostId h) {
+  overlay_pos_[h] = static_cast<std::uint32_t>(in_overlay_.size());
+  in_overlay_.push_back(h);
+}
+
+void ScenarioDriver::remove_member(net::HostId h) {
+  if (pending_leave_[h]) {
+    pending_leave_[h] = 0;
+    --pending_count_;
+  }
+  const std::uint32_t i = overlay_pos_[h];
+  const net::HostId moved = in_overlay_.back();
+  in_overlay_[i] = moved;
+  overlay_pos_[moved] = i;
+  in_overlay_.pop_back();
+  overlay_pos_[h] = kNotMember;
+  available_.push_back(h);
+}
+
 void ScenarioDriver::do_join(net::HostId h) {
   session_.join(h, params_.degrees.sample(rng_));
-  in_overlay_.push_back(h);
+  add_member(h);
 }
 
 void ScenarioDriver::do_join_traced(net::HostId h, int degree) {
   // Membership is validated here, at event time, not when the trace is
   // scheduled: a host may join, leave and rejoin within one trace.
-  VDM_REQUIRE_MSG(
-      std::find(in_overlay_.begin(), in_overlay_.end(), h) == in_overlay_.end(),
-      "trace joins host " + std::to_string(h) + " which is already a member");
+  VDM_REQUIRE_MSG(!is_member(h), "trace joins host " + std::to_string(h) +
+                                     " which is already a member");
   session_.join(h, degree);
-  in_overlay_.push_back(h);
+  add_member(h);
 }
 
 void ScenarioDriver::do_leave(net::HostId h) {
   // Validate membership before touching the session so a bad trace fails
   // with the host id instead of a session-internal invariant.
-  const auto it = std::find(in_overlay_.begin(), in_overlay_.end(), h);
-  VDM_REQUIRE_MSG(it != in_overlay_.end(),
+  VDM_REQUIRE_MSG(is_member(h),
                   "leave of host " + std::to_string(h) + " which is not a member");
   session_.leave(h);
-  if (pending_leave_[h]) {
-    pending_leave_[h] = 0;
-    --pending_count_;
-  }
-  *it = in_overlay_.back();
-  in_overlay_.pop_back();
-  available_.push_back(h);
+  remove_member(h);
 }
 
 void ScenarioDriver::do_crash(net::HostId h) {
-  const auto it = std::find(in_overlay_.begin(), in_overlay_.end(), h);
-  VDM_REQUIRE_MSG(it != in_overlay_.end(),
+  VDM_REQUIRE_MSG(is_member(h),
                   "crash of host " + std::to_string(h) + " which is not a member");
   session_.crash(h);
-  if (pending_leave_[h]) {
-    pending_leave_[h] = 0;
-    --pending_count_;
-  }
-  *it = in_overlay_.back();
-  in_overlay_.pop_back();
-  available_.push_back(h);
+  remove_member(h);
 }
 
 void ScenarioDriver::schedule_initial_joins() {

@@ -78,13 +78,15 @@ struct ScenarioParams {
   sim::Time flash_at = 0.0;
 };
 
-/// Reusable buffers of a ScenarioDriver (host pool, membership list,
-/// pending-leave flags) plus the workload event list of trace-driven runs.
+/// Reusable buffers of a ScenarioDriver (host pool, membership list and its
+/// host-to-position index, pending-leave flags) plus the workload event list
+/// of trace-driven runs.
 /// Shuttled through RunScratch so back-to-back runs over a 100k-host pool
 /// rebuild the pool in place instead of reallocating.
 struct ScenarioScratch {
   std::vector<net::HostId> available;
   std::vector<net::HostId> in_overlay;
+  std::vector<std::uint32_t> overlay_pos;
   std::vector<char> pending_leave;
   /// Workload-mode event list (generated or parsed from a trace file); the
   /// driver reads it, run_once owns its lifetime. Same seed and config
@@ -94,6 +96,7 @@ struct ScenarioScratch {
   std::size_t capacity_bytes() const {
     return (available.capacity() + in_overlay.capacity()) *
                sizeof(net::HostId) +
+           overlay_pos.capacity() * sizeof(std::uint32_t) +
            pending_leave.capacity() + events.capacity() * sizeof(WorkloadEvent);
   }
 };
@@ -134,6 +137,8 @@ class ScenarioDriver {
 
   /// Hosts currently alive in the overlay (excluding the source).
   std::size_t members_alive() const { return in_overlay_.size(); }
+  /// Those hosts, in the order churn victims are drawn from.
+  std::span<const net::HostId> members() const { return in_overlay_; }
 
  private:
   void schedule_initial_joins();
@@ -146,6 +151,11 @@ class ScenarioDriver {
   void do_join_traced(net::HostId h, int degree);
   void do_leave(net::HostId h);
   void do_crash(net::HostId h);
+  bool is_member(net::HostId h) const { return overlay_pos_[h] != kNotMember; }
+  void add_member(net::HostId h);
+  /// Swap-with-back removal from in_overlay_ (the order draw_victim's rng
+  /// picks index into), clears a pending leave and returns h to the pool.
+  void remove_member(net::HostId h);
   net::HostId draw_available();
   net::HostId draw_victim();
 
@@ -156,6 +166,10 @@ class ScenarioDriver {
 
   std::vector<net::HostId> available_;   // not in overlay, not pending join
   std::vector<net::HostId> in_overlay_;  // alive members (excl. source)
+  /// Position of each host in in_overlay_ (kNotMember if absent), indexed
+  /// by host: membership checks and departures cost O(1), not a scan.
+  static constexpr std::uint32_t kNotMember = ~std::uint32_t{0};
+  std::vector<std::uint32_t> overlay_pos_;
   std::vector<char> pending_leave_;      // indexed by host
   std::size_t pending_count_ = 0;        // victims drawn in the current slot
 };

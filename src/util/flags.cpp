@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <exception>
+#include <iostream>
 
 namespace vdm::util {
 
@@ -65,6 +67,21 @@ bool Flags::get_bool(const std::string& name, bool def) const {
   std::transform(v.begin(), v.end(), v.begin(),
                  [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
   return v == "1" || v == "true" || v == "yes" || v == "on";
+}
+
+int run_main(int argc, const char* const* argv, int (*body)(const Flags&)) {
+  std::string prog = argc > 0 ? argv[0] : "vdm";
+  prog.erase(0, prog.find_last_of('/') + 1);
+  try {
+    return body(Flags(argc, argv));
+  } catch (const std::invalid_argument& e) {
+    std::cerr << prog << ": " << e.what() << " (usage: " << prog
+              << " [--option value]...)\n";
+    return 2;
+  } catch (const std::exception& e) {
+    std::cerr << prog << ": fatal: " << e.what() << "\n";
+    return 1;
+  }
 }
 
 }  // namespace vdm::util

@@ -51,4 +51,11 @@ class Flags {
   std::vector<std::string> positional_;
 };
 
+/// The shared `main` of the example and bench programs: returns
+/// body(Flags(argc, argv)). A std::invalid_argument escaping `body` (a
+/// malformed option value, see parse_flag_value) prints one usage line and
+/// returns 2; any other exception prints `<prog>: fatal: <what>` and returns
+/// 1. Either way the program exits with a message, never an abort.
+int run_main(int argc, const char* const* argv, int (*body)(const Flags&));
+
 }  // namespace vdm::util

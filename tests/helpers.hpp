@@ -78,4 +78,45 @@ struct Harness {
   net::HostId parent(net::HostId h) const { return session.tree().member(h).parent; }
 };
 
+/// True if `ancestor` is on `node`'s root path (node included), by a plain
+/// parent-pointer walk: the reference for Membership::is_ancestor.
+inline bool on_root_path(const overlay::Membership& m, net::HostId ancestor,
+                         net::HostId node) {
+  for (net::HostId at = node; at != net::kInvalidHost; at = m.member(at).parent) {
+    if (at == ancestor) return true;
+  }
+  return false;
+}
+
+/// A random forest over `n` alive hosts rooted at source 0: degree limits
+/// 1..4 (limit-1 members are pure leaves), about one member in six left as
+/// a detached fragment root that others hang under, then a few crashed
+/// interior members whose children become orphan fragments with subtrees.
+inline overlay::Membership random_forest(std::size_t n, util::Rng& rng) {
+  overlay::Membership m(n, /*source=*/0);
+  for (net::HostId h = 0; h < n; ++h) {
+    m.activate(h, static_cast<int>(rng.uniform_int(1, 4)));
+  }
+  const auto any_host = [&] {
+    return static_cast<net::HostId>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  for (net::HostId h = 1; h < n; ++h) {
+    if (rng.chance(1.0 / 6.0)) continue;
+    // A few tries per member; each candidate must have room and must not
+    // sit below h (that would close a cycle).
+    for (int tries = 0; tries < 4; ++tries) {
+      const net::HostId p = any_host();
+      if (p == h || !m.member(p).has_free_degree() || on_root_path(m, h, p)) continue;
+      m.attach(h, p, 1.0);
+      break;
+    }
+  }
+  for (int i = 0; i < 4; ++i) {
+    const net::HostId victim = any_host();
+    if (victim != 0 && m.member(victim).alive) m.deactivate(victim);
+  }
+  m.validate();
+  return m;
+}
+
 }  // namespace vdm::testutil

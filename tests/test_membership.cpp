@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "helpers.hpp"
 #include "util/require.hpp"
 
 namespace vdm::overlay {
@@ -254,6 +255,27 @@ TEST(Membership, IsAncestorSemantics) {
   EXPECT_TRUE(m.is_ancestor(2, 2));  // reflexive by definition used here
   EXPECT_FALSE(m.is_ancestor(2, 0));
   EXPECT_FALSE(m.is_ancestor(3, 2));
+}
+
+TEST(Membership, IsAncestorMatchesChainWalk) {
+  // The childless-ancestor shortcut must agree with a full root-path scan
+  // for every ordered pair: connected members, detached fragments, crash
+  // orphans with subtrees, limit-1 leaves and dead hosts alike.
+  constexpr std::size_t kHosts = 40;
+  std::size_t proper_ancestors = 0;
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    util::Rng rng(seed);
+    const Membership m = testutil::random_forest(kHosts, rng);
+    for (HostId a = 0; a < kHosts; ++a) {
+      for (HostId node = 0; node < kHosts; ++node) {
+        const bool expected = testutil::on_root_path(m, a, node);
+        EXPECT_EQ(m.is_ancestor(a, node), expected)
+            << "seed " << seed << " ancestor " << a << " node " << node;
+        if (expected && a != node) ++proper_ancestors;
+      }
+    }
+  }
+  EXPECT_GT(proper_ancestors, 0u);  // the chain walk ran, not just the shortcut
 }
 
 TEST(Membership, AliveMembersLists) {

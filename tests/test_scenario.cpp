@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -339,6 +340,62 @@ TEST(ScenarioDriver, TraceModeRejectsBadTraces) {
                     "already a member");
   expect_throw_with({{10.0, K::kLeave, 1, 4}}, "not a member");
   expect_throw_with({{10.0, K::kCrash, 1, 4}}, "not a member");
+}
+
+TEST(ScenarioDriver, PositionIndexFollowsJoinLeaveCrashAndRejoin) {
+  using K = WorkloadEvent::Kind;
+  // Host 5 joins, leaves, rejoins, crashes and rejoins again. The departures
+  // of 5 and 6 each move the last member into the freed position, so the
+  // later crash of 7 and leave of 8 only succeed if the index followed.
+  const std::vector<WorkloadEvent> churn{
+      {10.0, K::kJoin, 5, 3},   {11.0, K::kJoin, 6, 3},
+      {12.0, K::kJoin, 7, 3},   {13.0, K::kJoin, 8, 3},
+      {130.0, K::kLeave, 5, 4}, {140.0, K::kJoin, 5, 3},
+      {150.0, K::kLeave, 6, 4}, {160.0, K::kCrash, 7, 4},
+      {170.0, K::kCrash, 5, 4}, {180.0, K::kJoin, 5, 2},
+      {190.0, K::kLeave, 8, 4},
+  };
+  const auto run_with = [](std::vector<WorkloadEvent> events,
+                           ScenarioScratch& scratch) {
+    DriverFixture f(20);
+    ScenarioDriver driver(f.session, small_scenario(), util::Rng(26), &scratch);
+    std::vector<std::vector<net::HostId>> seen;
+    driver.run_trace(events, [&](sim::Time) {
+      std::vector<net::HostId> m(driver.members().begin(), driver.members().end());
+      std::sort(m.begin(), m.end());
+      seen.push_back(m);
+    });
+    ASSERT_EQ(seen.size(), 4u);
+    EXPECT_EQ(seen[0], (std::vector<net::HostId>{5, 6, 7, 8}));  // t = 120
+    EXPECT_EQ(seen[1], (std::vector<net::HostId>{5}));           // t = 220
+    EXPECT_EQ(driver.members_alive(), 1u);
+    EXPECT_TRUE(f.session.tree().member(5).alive);
+    for (const net::HostId h : {6u, 7u, 8u}) {
+      EXPECT_FALSE(f.session.tree().member(h).alive) << h;
+    }
+    f.session.tree().validate();
+  };
+  // The second run reuses the first run's scratch: the index must reset.
+  ScenarioScratch scratch;
+  run_with(churn, scratch);
+  run_with(churn, scratch);
+
+  const auto expect_error = [&](WorkloadEvent last, const std::string& needle) {
+    std::vector<WorkloadEvent> events = churn;
+    events.push_back(last);
+    DriverFixture f(20);
+    ScenarioDriver driver(f.session, small_scenario(), util::Rng(27), &scratch);
+    try {
+      driver.run_trace(events, [](sim::Time) {});
+      FAIL() << "expected InvariantError mentioning: " << needle;
+    } catch (const util::InvariantError& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_error({200.0, K::kJoin, 5, 4}, "host 5 which is already a member");
+  expect_error({200.0, K::kLeave, 7, 4}, "leave of host 7 which is not a member");
+  expect_error({200.0, K::kCrash, 6, 4}, "crash of host 6 which is not a member");
 }
 
 }  // namespace

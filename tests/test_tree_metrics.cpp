@@ -5,6 +5,7 @@
 #include "helpers.hpp"
 #include "net/graph_underlay.hpp"
 #include "topology/simple.hpp"
+#include "util/stats.hpp"
 
 namespace vdm::metrics {
 namespace {
@@ -167,6 +168,34 @@ TEST(TreeMetrics, TriangleViolationGivesSubUnitStretch) {
   const TreeMetrics t = measure_tree(m, 0, u);
   // Host 2: overlay (5 + 5) vs direct 15 -> stretch 2/3.
   EXPECT_NEAR(t.stretch_min, 2.0 / 3.0, 1e-12);
+}
+
+TEST(TreeMetrics, BfsDepthMatchesMembershipDepth) {
+  // Hop metrics come from the capture's BFS depths; they must equal a fold
+  // of Membership::depth over the same members in the same (BFS) order, on
+  // forests with detached fragments and crash orphans. One scratch serves
+  // every tree, so a stale depth from an earlier capture would show.
+  constexpr std::size_t kHosts = 60;
+  std::vector<double> pos(kHosts);
+  for (std::size_t i = 0; i < kHosts; ++i) pos[i] = static_cast<double>(i) * 3.0;
+  const net::MatrixUnderlay u = testutil::line_underlay(pos);
+  TreeMetricsScratch scratch;
+  for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+    util::Rng rng(seed);
+    const Membership m = testutil::random_forest(kHosts, rng);
+    util::OnlineStats all, leaves;
+    const std::vector<net::HostId> bfs = m.subtree(0);
+    for (std::size_t i = 1; i < bfs.size(); ++i) {
+      const auto hops = static_cast<double>(m.depth(bfs[i]));
+      all.add(hops);
+      if (m.member(bfs[i]).children.empty()) leaves.add(hops);
+    }
+    const TreeMetrics t = measure_tree(m, 0, u, scratch);
+    EXPECT_EQ(t.members, m.alive_members().size()) << seed;
+    EXPECT_EQ(t.hop_avg, all.mean()) << seed;
+    EXPECT_EQ(t.hop_max, all.empty() ? 0.0 : all.max()) << seed;
+    EXPECT_EQ(t.hop_leaf_avg, leaves.mean()) << seed;
+  }
 }
 
 }  // namespace

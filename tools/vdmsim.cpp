@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <iostream>
 #include <span>
-#include <stdexcept>
 #include <string>
 
 #include "experiments/runner.hpp"
@@ -365,16 +364,5 @@ int run(const util::Flags& flags) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const util::Flags flags(argc, argv);
-  try {
-    return run(flags);
-  } catch (const std::invalid_argument& e) {
-    // A malformed option value is a usage error, like an unknown one.
-    std::cerr << "vdmsim: " << e.what() << " (see --help)\n";
-    return 2;
-  } catch (const std::exception& e) {
-    std::cerr << "vdmsim: fatal: " << e.what() << "\n";
-    return 1;
-  }
-}
+// A malformed option value is a usage error (exit 2), like an unknown one.
+int main(int argc, char** argv) { return util::run_main(argc, argv, run); }
