@@ -394,7 +394,7 @@ BENCHMARK(BM_RunManyScaling)
 // ------------------------------------------------------------ event engine
 
 /// The event engine alone: schedule/fire churn with a live timer population
-/// the size of a paper run's (one Periodic per member plus in-flight
+/// the size of a paper run's (one periodic timer per member plus in-flight
 /// control events). allocs_per_iter must be exactly 0 — the slab, the
 /// indexed heap and the inline callables make steady-state scheduling
 /// allocation-free.
@@ -436,6 +436,48 @@ void BM_SimScheduleFire(benchmark::State& state) {
       static_cast<double>(allocs) / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_SimScheduleFire)->Unit(benchmark::kMicrosecond);
+
+/// The event engine under heartbeat load, shaped like a churn run: N
+/// members' 1 s probe timers, staggered across the first second, re-arm in
+/// place beside 4096 one-shot membership events queued up front (a workload
+/// trace is scheduled whole at start). Each iteration replays 30 s on a
+/// reset() engine, so events_per_iter is fixed by construction (N * 30 + 1
+/// ticks plus the one-shots) and allocs_per_iter must be exactly 0.
+void BM_SimPeriodicFanout(benchmark::State& state) {
+  const int timers = static_cast<int>(state.range(0));
+  constexpr int kOneShots = 4096;
+  constexpr sim::Time kHorizon = 30.0;
+  sim::Simulator s;
+  std::uint64_t sink = 0;
+  const auto replay = [&] {
+    s.reset();
+    for (int i = 0; i < timers; ++i) {
+      s.schedule_at(static_cast<sim::Time>(i) / timers, [&s, &sink] {
+        ++sink;
+        s.reschedule_current_in(1.0);
+      });
+    }
+    for (int k = 0; k < kOneShots; ++k) {
+      s.schedule_at(kHorizon * static_cast<sim::Time>(k) / kOneShots,
+                    [&sink] { ++sink; });
+    }
+    s.run_until(kHorizon);
+  };
+  replay();  // warm: grow the slab and heap to the working set
+
+  std::uint64_t events = 0;
+  const std::uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
+  for (auto _ : state) {
+    replay();
+    events += s.executed();
+    benchmark::DoNotOptimize(sink);
+  }
+  const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - allocs_before;
+  const auto iters = static_cast<double>(state.iterations());
+  state.counters["events_per_iter"] = static_cast<double>(events) / iters;
+  state.counters["allocs_per_iter"] = static_cast<double>(allocs) / iters;
+}
+BENCHMARK(BM_SimPeriodicFanout)->Arg(1024)->Unit(benchmark::kMicrosecond);
 
 // --------------------------------------------------------------- micro bench
 

@@ -73,7 +73,8 @@ std::size_t Session::Storage::capacity_bytes() const {
          chunk_stack.capacity() * sizeof(ChunkFrame) +
          orphans.capacity() * sizeof(net::HostId) +
          (startup_records.capacity() + reconnect_records.capacity()) *
-             sizeof(TimingRecord);
+             sizeof(TimingRecord) +
+         heartbeats.capacity() * sizeof(HeartbeatState);
 }
 
 Session::~Session() { stop(); }
@@ -98,6 +99,10 @@ void Session::start() {
   // run's final drain; they belong to that run, not this one.
   storage_.startup_records.clear();
   storage_.reconnect_records.clear();
+  // A swapped-in slab holds the previous run's timer ids; start clean.
+  storage_.heartbeats.assign(
+      params_.faults.heartbeat_period > 0.0 ? underlay_.num_hosts() : 0,
+      HeartbeatState{});
   tree().activate(params_.source, params_.source_degree_limit);
   tree().flood().in_session_since[params_.source] = reactor_.now();
   if (params_.join_mode != JoinMode::kSequential) {
@@ -112,8 +117,8 @@ void Session::start() {
     placement->insert(params_.source);
   }
   if (params_.data_plane) {
-    // Same schedule/reschedule sequence sim::Periodic produces, without the
-    // per-run heap timer object.
+    // Same schedule/reschedule sequence transport::PeriodicTimer produces,
+    // without the per-run heap timer object.
     const sim::Time period = 1.0 / params_.chunk_rate;
     stream_event_ = reactor_.schedule_in(period, [this, period] {
       emit_chunk();
@@ -133,10 +138,11 @@ void Session::stop() {
     if (id != transport::kInvalidTimer) reactor_.cancel(id);
     id = transport::kInvalidTimer;
   }
-  for (auto& [h, hb] : heartbeats_) {
+  for (HeartbeatState& hb : storage_.heartbeats) {
     if (hb.pending_detect != transport::kInvalidTimer) reactor_.cancel(hb.pending_detect);
+    if (hb.timer != transport::kInvalidTimer) reactor_.cancel(hb.timer);
+    hb = HeartbeatState{};
   }
-  heartbeats_.clear();
   crash_orphans_.clear();
 }
 
@@ -443,7 +449,7 @@ void Session::crash(net::HostId h) {
   // subtrees as expecting-but-not-receiving (see emit_chunk).
   const sim::Time now = reactor_.now();
   for (const net::HostId orphan : storage_.orphans) {
-    HeartbeatState& hb = heartbeats_.at(orphan);
+    HeartbeatState& hb = storage_.heartbeats[orphan];
     hb.orphaned = true;
     hb.orphaned_at = now;
     crash_orphans_.push_back(orphan);
@@ -540,7 +546,7 @@ void Session::arm_refinement(net::HostId h) {
   // The tick re-arms into its own slab slot (reschedule_current_in keeps the
   // id), so the stored EventId stays valid for the member's whole tenure.
   // Disarming mid-tick suppresses the re-arm via the simulator's
-  // firing-cancelled state, exactly like Periodic::stop() did.
+  // firing-cancelled state, exactly like PeriodicTimer::stop().
   slab[h] = reactor_.schedule_in(period, [this, h, period] {
     refine(h);
     reactor_.reschedule_current_in(period);
@@ -557,7 +563,7 @@ void Session::disarm_refinement(net::HostId h) {
 
 void Session::ensure_heartbeat(net::HostId h) {
   if (params_.faults.heartbeat_period <= 0.0) return;
-  HeartbeatState& hb = heartbeats_[h];
+  HeartbeatState& hb = storage_.heartbeats[h];
   hb.misses = 0;
   hb.orphaned = false;
   hb.orphaned_at = 0.0;
@@ -566,24 +572,23 @@ void Session::ensure_heartbeat(net::HostId h) {
     reactor_.cancel(hb.pending_detect);
     hb.pending_detect = transport::kInvalidTimer;
   }
-  // Recreate the timer only when it is missing or was stopped by a full
-  // miss streak; destroying a stopped PeriodicTimer is safe from any event
-  // (never from inside its own tick — the streak stops it first and the
-  // recreation happens in complete_detection, a plain event).
-  if (!hb.timer || !hb.timer->running()) {
-    hb.timer = std::make_unique<transport::PeriodicTimer>(
-        reactor_, params_.faults.heartbeat_period,
-        [this, h] { heartbeat_tick(h); });
+  // Arm only when not probing (first join, or a full miss streak stopped
+  // the timer); a reconnect after a graceful leave keeps its tick phase.
+  // The tick re-arms itself in place, like transport::PeriodicTimer.
+  if (hb.timer == transport::kInvalidTimer) {
+    hb.timer = reactor_.schedule_in(params_.faults.heartbeat_period,
+                                    [this, h] { heartbeat_tick(h); });
   }
 }
 
 void Session::disarm_heartbeat(net::HostId h) {
-  const auto it = heartbeats_.find(h);
-  if (it == heartbeats_.end()) return;
-  if (it->second.pending_detect != transport::kInvalidTimer) {
-    reactor_.cancel(it->second.pending_detect);
+  if (h >= storage_.heartbeats.size()) return;  // heartbeats off
+  HeartbeatState& hb = storage_.heartbeats[h];
+  if (hb.pending_detect != transport::kInvalidTimer) {
+    reactor_.cancel(hb.pending_detect);
   }
-  heartbeats_.erase(it);
+  if (hb.timer != transport::kInvalidTimer) reactor_.cancel(hb.timer);
+  hb = HeartbeatState{};
 }
 
 void Session::forget_crash_orphan(net::HostId h) {
@@ -592,7 +597,7 @@ void Session::forget_crash_orphan(net::HostId h) {
 }
 
 void Session::heartbeat_tick(net::HostId h) {
-  HeartbeatState& hb = heartbeats_.at(h);
+  HeartbeatState& hb = storage_.heartbeats[h];
   const MemberState& m = tree().member(h);
   VDM_REQUIRE_MSG(m.alive, "heartbeat ticking on a dead member");
   const FaultParams& f = params_.faults;
@@ -620,24 +625,25 @@ void Session::heartbeat_tick(net::HostId h) {
 
   if (!missed) {
     hb.misses = 0;
-    return;
+  } else {
+    ++hb.misses;
+    if (hb.misses == 1) hb.first_miss_at = reactor_.now();
+    if (hb.misses >= f.heartbeat_misses &&
+        hb.pending_detect == transport::kInvalidTimer) {
+      // Verdict reached: stop probing (no re-arm) and declare the parent
+      // dead once the final probe's own timeout expires; the rejoin in
+      // complete_detection arms a fresh probe timer.
+      hb.timer = transport::kInvalidTimer;
+      hb.pending_detect = reactor_.schedule_in(
+          f.heartbeat_timeout, [this, h] { complete_detection(h); });
+      return;
+    }
   }
-  ++hb.misses;
-  if (hb.misses == 1) hb.first_miss_at = reactor_.now();
-  if (hb.misses >= f.heartbeat_misses &&
-      hb.pending_detect == transport::kInvalidTimer) {
-    // Verdict reached: stop probing and declare the parent dead once the
-    // final probe's own timeout expires. The timer must not be destroyed
-    // from inside its own tick — stop() it and let complete_detection (a
-    // plain scheduled event) recreate it after the rejoin.
-    hb.timer->stop();
-    hb.pending_detect = reactor_.schedule_in(f.heartbeat_timeout,
-                                         [this, h] { complete_detection(h); });
-  }
+  reactor_.reschedule_current_in(f.heartbeat_period);
 }
 
 void Session::complete_detection(net::HostId h) {
-  HeartbeatState& hb = heartbeats_.at(h);
+  HeartbeatState& hb = storage_.heartbeats[h];
   hb.pending_detect = transport::kInvalidTimer;
   const MemberState& m = tree().member(h);
   VDM_REQUIRE_MSG(m.alive, "detection completing on a dead member");
@@ -655,8 +661,6 @@ void Session::complete_detection(net::HostId h) {
     detection = reactor_.now() - hb.first_miss_at;
     if (m.parent != kInvalidHost) tree().detach(h);
   }
-  // NOTE: run_join re-enters ensure_heartbeat, which may rehash
-  // heartbeats_ — `hb` is dead past this point.
   run_join(h, reconnect_start(h), /*is_reconnect=*/true, detection);
   if (params_.paranoid_checks) tree().validate();
 }

@@ -2,7 +2,6 @@
 
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "net/underlay.hpp"
@@ -144,6 +143,23 @@ class Session {
     net::HostId host;
     bool delivered;
   };
+  /// One member's failure-detector state (see Storage::heartbeats).
+  struct HeartbeatState {
+    /// The probe timer, re-armed in place each tick; kInvalidTimer while
+    /// the member is not probing (not joined, or a full miss streak
+    /// stopped it until the rejoin).
+    transport::TimerId timer = transport::kInvalidTimer;
+    /// The scheduled complete_detection() timer, if the streak reached
+    /// heartbeat_misses; cancelled when the member leaves/crashes first.
+    transport::TimerId pending_detect = transport::kInvalidTimer;
+    sim::Time orphaned_at = 0.0;
+    /// Start of the current miss streak (detection latency for a false
+    /// positive is measured from here).
+    sim::Time first_miss_at = 0.0;
+    int misses = 0;
+    /// Parent crashed; probes are going unanswered until detection fires.
+    bool orphaned = false;
+  };
 
  public:
   /// Everything a run grows: the member tree (member slots, children
@@ -167,6 +183,9 @@ class Session {
     /// Timing-record accumulators (see drain_startup_records).
     std::vector<TimingRecord> startup_records;
     std::vector<TimingRecord> reconnect_records;
+    /// Failure-detector state indexed by host; sized by start() only when
+    /// faults.heartbeat_period > 0, else empty.
+    std::vector<HeartbeatState> heartbeats;
 
     /// Heap bytes reserved (RunScratch arena accounting).
     std::size_t capacity_bytes() const;
@@ -398,22 +417,6 @@ class Session {
   /// data plane costs no heap timer object per run.
   transport::TimerId stream_event_ = transport::kInvalidTimer;
 
-  /// Per-member failure-detector state (only populated when
-  /// faults.heartbeat_period > 0).
-  struct HeartbeatState {
-    std::unique_ptr<transport::PeriodicTimer> timer;
-    int misses = 0;
-    /// Parent crashed; probes are going unanswered until detection fires.
-    bool orphaned = false;
-    sim::Time orphaned_at = 0.0;
-    /// Start of the current miss streak (detection latency for a false
-    /// positive is measured from here).
-    sim::Time first_miss_at = 0.0;
-    /// The scheduled complete_detection() timer, if the streak reached
-    /// heartbeat_misses; cancelled when the member leaves/crashes first.
-    transport::TimerId pending_detect = transport::kInvalidTimer;
-  };
-  std::unordered_map<net::HostId, HeartbeatState> heartbeats_;
   /// Roots of subtrees detached by a crash and still awaiting detection.
   /// The data-plane flood cannot reach them via children lists, so
   /// emit_chunk walks these explicitly to count the chunks their members

@@ -16,8 +16,8 @@ constexpr std::size_t kHeapArity = 4;
 std::uint32_t Simulator::acquire_slot() {
   if (free_head_ != kNoSlot) {
     const std::uint32_t slot = free_head_;
-    free_head_ = slots_[slot].next_free;
-    slots_[slot].next_free = kNoSlot;
+    free_head_ = slots_[slot].next;
+    slots_[slot].next = kNoSlot;
     return slot;
   }
   const std::uint32_t slot = static_cast<std::uint32_t>(slots_.size());
@@ -30,7 +30,7 @@ void Simulator::release_slot(std::uint32_t slot) {
   s.fn = nullptr;
   ++s.generation;  // stale EventIds now fail the generation check
   s.heap_pos = kNoSlot;
-  s.next_free = free_head_;
+  s.next = free_head_;
   free_head_ = slot;
 }
 
@@ -86,6 +86,69 @@ void Simulator::heap_remove(std::size_t pos) {
   }
 }
 
+void Simulator::rearm(std::uint32_t slot, Time delay) {
+  Lane* lane = nullptr;  // the lane carrying `delay`, else the first empty one
+  for (Lane& l : lanes_) {
+    if (l.head == kNoSlot) {
+      if (lane == nullptr) lane = &l;
+    } else if (l.delay == delay) {
+      lane = &l;
+      break;
+    }
+  }
+  if (lane == nullptr) {
+    heap_push(slot);
+    return;
+  }
+  // The slot fires at now + delay after every entry already on the lane
+  // (their now was no later, their seq is lower): appending keeps it sorted.
+  Slot& s = slots_[slot];
+  s.heap_pos = kLaneTag + static_cast<std::uint32_t>(lane - lanes_.data());
+  s.next = kNoSlot;
+  s.prev = lane->tail;
+  if (lane->head == kNoSlot) {
+    lane->delay = delay;
+    lane->head = slot;
+    if (lane_min_ == kNoSlot || before(slot, lane_min_)) lane_min_ = slot;
+  } else {
+    slots_[lane->tail].next = slot;
+  }
+  lane->tail = slot;
+  ++lane_entries_;
+}
+
+void Simulator::unqueue(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  if (s.heap_pos < kLaneTag) {
+    heap_remove(s.heap_pos);
+    return;
+  }
+  Lane& lane = lanes_[s.heap_pos - kLaneTag];
+  if (s.prev == kNoSlot) {
+    lane.head = s.next;
+  } else {
+    slots_[s.prev].next = s.next;
+  }
+  if (s.next == kNoSlot) {
+    lane.tail = s.prev;
+  } else {
+    slots_[s.next].prev = s.prev;
+  }
+  s.heap_pos = kNoSlot;
+  s.next = kNoSlot;
+  s.prev = kNoSlot;
+  --lane_entries_;
+  // Only removing the earliest head can move the minimum: any other head is
+  // already later, and a non-head entry is later than its own head.
+  if (slot == lane_min_) {
+    lane_min_ = kNoSlot;
+    for (const Lane& l : lanes_) {
+      if (l.head == kNoSlot) continue;
+      if (lane_min_ == kNoSlot || before(l.head, lane_min_)) lane_min_ = l.head;
+    }
+  }
+}
+
 EventId Simulator::schedule_at(Time t, InlineFn fn) {
   VDM_REQUIRE_MSG(t >= now_, "cannot schedule into the past");
   VDM_REQUIRE(fn != nullptr);
@@ -116,7 +179,7 @@ void Simulator::cancel(EventId id) {
     firing_cancelled_ = true;
     return;
   }
-  heap_remove(s.heap_pos);
+  unqueue(slot);
   release_slot(slot);
 }
 
@@ -124,14 +187,13 @@ bool Simulator::reschedule_current_in(Time delay) {
   VDM_REQUIRE_MSG(delay >= 0.0, "negative delay");
   if (firing_slot_ == kNoSlot || firing_cancelled_) return false;
   firing_rearm_ = true;
-  firing_rearm_at_ = now_ + delay;
+  firing_rearm_delay_ = delay;
   return true;
 }
 
-void Simulator::fire_top() {
-  const std::uint32_t slot = heap_[0];
+void Simulator::fire(std::uint32_t slot) {
   now_ = slots_[slot].t;
-  heap_remove(0);
+  unqueue(slot);
   ++executed_;
 
   firing_slot_ = slot;
@@ -155,13 +217,13 @@ void Simulator::fire_top() {
 
   Slot& s = slots_[slot];  // re-fetch: the slab may have reallocated
   if (firing_rearm_ && !firing_cancelled_) {
-    // Re-arm in place (Periodic): same slot, same generation — the caller's
-    // EventId stays valid — with a fresh sequence number, exactly as if the
+    // Re-arm in place: same slot, same generation — the caller's EventId
+    // stays valid — with a fresh sequence number, exactly as if the
     // callback had scheduled a new event at this point.
     s.fn = std::move(fn);
-    s.t = firing_rearm_at_;
+    s.t = now_ + firing_rearm_delay_;
     s.seq = next_seq_++;
-    heap_push(slot);
+    rearm(slot, firing_rearm_delay_);
   } else {
     release_slot(slot);
   }
@@ -170,16 +232,12 @@ void Simulator::fire_top() {
   firing_rearm_ = false;
 }
 
-bool Simulator::step() {
-  if (heap_.empty()) return false;
-  fire_top();
-  return true;
-}
+bool Simulator::step() { return run(1) == 1; }
 
 std::size_t Simulator::run(std::size_t max_events) {
   std::size_t n = 0;
-  while (n < max_events && !heap_.empty()) {
-    fire_top();
+  for (std::uint32_t next; n < max_events && (next = next_slot()) != kNoSlot;) {
+    fire(next);
     ++n;
   }
   return n;
@@ -188,38 +246,13 @@ std::size_t Simulator::run(std::size_t max_events) {
 std::size_t Simulator::run_until(Time t) {
   VDM_REQUIRE(t >= now_);
   std::size_t n = 0;
-  while (!heap_.empty() && slots_[heap_[0]].t <= t) {
-    fire_top();
+  for (std::uint32_t next;
+       (next = next_slot()) != kNoSlot && slots_[next].t <= t;) {
+    fire(next);
     ++n;
   }
   now_ = t;
   return n;
-}
-
-Periodic::Periodic(Simulator& simulator, Time interval, InlineFn fn)
-    : sim_(simulator), interval_(interval), fn_(std::move(fn)) {
-  VDM_REQUIRE(interval_ > 0.0);
-  VDM_REQUIRE(fn_ != nullptr);
-  pending_ = sim_.schedule_in(interval_, [this] {
-    fn_();
-    // Re-arm into the same slot (zero allocation, id unchanged). If fn_
-    // called stop(), the cancel already suppressed the re-arm; clear the
-    // stale id so a later stop() cannot cancel an unrelated reused slot.
-    if (running_) {
-      sim_.reschedule_current_in(interval_);
-    } else {
-      pending_ = kInvalidEvent;
-    }
-  });
-}
-
-Periodic::~Periodic() { stop(); }
-
-void Periodic::stop() {
-  if (!running_) return;
-  running_ = false;
-  if (pending_ != kInvalidEvent) sim_.cancel(pending_);
-  pending_ = kInvalidEvent;
 }
 
 }  // namespace vdm::sim

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -30,6 +31,16 @@ constexpr EventId kInvalidEvent = 0;
 /// small-buffer-optimized (InlineFn), so once the slab and heap have grown
 /// to a run's working set, schedule/fire/cancel perform zero heap
 /// allocations.
+///
+/// Periodic re-arms bypass the heap. A reschedule_current_in(d) lands at
+/// now + d with a fresh sequence number; now never decreases and rounding
+/// is monotone, so successive re-arms with the same d arrive in exact
+/// (t, seq) order and a FIFO keeps them sorted. A few fixed-delay lanes —
+/// intrusive doubly-linked lists through the slab, keyed by the exact
+/// delay — take those re-arms in O(1); firing takes the earliest of the
+/// heap top and the lane heads under the same (t, seq) comparison, so the
+/// firing order is exactly the heap-only order. One-shots and re-arms whose
+/// delay finds no lane stay on the heap.
 class Simulator {
  public:
   Simulator() = default;
@@ -66,14 +77,15 @@ class Simulator {
   std::size_t run_until(Time t);
 
   /// Number of live (non-cancelled) pending events.
-  std::size_t pending() const { return heap_.size(); }
+  std::size_t pending() const { return heap_.size() + lane_entries_; }
 
   /// Timestamp of the earliest pending event, or +infinity when the queue is
   /// empty. The wall-clock reactor (transport::UdpReactor) paces this engine
   /// by sleeping until the next deadline; the DES never needs it.
   Time next_event_time() const {
-    return heap_.empty() ? std::numeric_limits<Time>::infinity()
-                         : slots_[heap_[0]].t;
+    const std::uint32_t next = next_slot();
+    return next == kNoSlot ? std::numeric_limits<Time>::infinity()
+                           : slots_[next].t;
   }
 
   /// Total events executed since construction (for micro-benchmarks).
@@ -86,6 +98,9 @@ class Simulator {
   void reset() {
     slots_.clear();
     heap_.clear();
+    lanes_.fill(Lane{});
+    lane_entries_ = 0;
+    lane_min_ = kNoSlot;
     free_head_ = kNoSlot;
     now_ = kTimeZero;
     next_seq_ = 1;
@@ -93,7 +108,7 @@ class Simulator {
     firing_slot_ = kNoSlot;
     firing_cancelled_ = false;
     firing_rearm_ = false;
-    firing_rearm_at_ = kTimeZero;
+    firing_rearm_delay_ = kTimeZero;
   }
 
   /// Heap bytes reserved by the slab and heap (arena accounting).
@@ -104,14 +119,37 @@ class Simulator {
 
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  /// Fixed-delay FIFO lanes. Enough for the periods one run re-arms on
+  /// (heartbeat, chunk clock, refinement); further delays use the heap.
+  static constexpr std::uint32_t kLanes = 4;
+  /// Slot::heap_pos values from kLaneTag up mark a slot queued on lane
+  /// heap_pos - kLaneTag; no heap ever holds that many entries.
+  static constexpr std::uint32_t kLaneTag = kNoSlot - kLanes;
 
   struct Slot {
     Time t = 0.0;
     std::uint64_t seq = 0;  // FIFO tie-break within a timestamp
     std::uint32_t generation = 1;
+    /// Heap index, kLaneTag + lane while on a lane, kNoSlot while firing
+    /// or free.
     std::uint32_t heap_pos = kNoSlot;
-    std::uint32_t next_free = kNoSlot;
+    /// Free-list link while free; next slot of the lane while on a lane.
+    std::uint32_t next = kNoSlot;
+    /// Previous slot of the lane; sits in the alignment padding before fn.
+    std::uint32_t prev = kNoSlot;
     InlineFn fn;
+  };
+  // The slab is this size times a run's peak event count, and perfbench
+  // peak_rss_mb is sensitive to it: a 112 B slot (a separate lane-index
+  // field) read +2.4 MB (+7.6%) on flash_crowd, mostly glibc's dynamic
+  // mmap threshold moving with the first large free. Keep new fields in
+  // padding or encoded in existing ones.
+  static_assert(sizeof(Slot) <= 96, "Slot grew past 96 B: see comment");
+
+  struct Lane {
+    Time delay = 0.0;  // meaningful only while the lane is non-empty
+    std::uint32_t head = kNoSlot;
+    std::uint32_t tail = kNoSlot;
   };
 
   static EventId make_id(std::uint32_t slot, std::uint32_t generation) {
@@ -139,44 +177,35 @@ class Simulator {
   void heap_remove(std::size_t pos);
   void sift_up(std::size_t pos);
   void sift_down(std::size_t pos);
-  void fire_top();
+  /// Queues a re-armed slot on the lane of `delay` (claiming an empty lane
+  /// if none carries it), or on the heap when every lane carries another.
+  void rearm(std::uint32_t slot, Time delay);
+  /// Takes a queued slot off its lane or the heap.
+  void unqueue(std::uint32_t slot);
+  /// The earliest pending slot (heap top or a lane head), or kNoSlot.
+  std::uint32_t next_slot() const {
+    if (heap_.empty()) return lane_min_;
+    if (lane_min_ == kNoSlot) return heap_[0];
+    return before(lane_min_, heap_[0]) ? lane_min_ : heap_[0];
+  }
+  void fire(std::uint32_t slot);
 
   Time now_ = kTimeZero;
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
 
   std::vector<Slot> slots_;            // slab; grows, never shrinks
-  std::uint32_t free_head_ = kNoSlot;  // free-list through Slot::next_free
+  std::uint32_t free_head_ = kNoSlot;  // free-list through Slot::next
   std::vector<std::uint32_t> heap_;    // indexed 4-ary min-heap of slots
+  std::array<Lane, kLanes> lanes_{};
+  std::size_t lane_entries_ = 0;       // slots queued on all lanes
+  std::uint32_t lane_min_ = kNoSlot;   // earliest lane head, kNoSlot if none
 
-  // State of the callback currently running (kNoSlot outside fire_top).
+  // State of the callback currently running (kNoSlot outside fire()).
   std::uint32_t firing_slot_ = kNoSlot;
   bool firing_cancelled_ = false;
   bool firing_rearm_ = false;
-  Time firing_rearm_at_ = kTimeZero;
-};
-
-/// RAII periodic timer: runs `fn` every `interval` seconds starting at
-/// now + interval, until destroyed or stop()ped. Protocol refinement and
-/// stream sending use this. The timer owns one slab slot for its whole
-/// lifetime — each tick re-arms in place, so steady state allocates nothing
-/// and the pending EventId never changes.
-class Periodic {
- public:
-  Periodic(Simulator& simulator, Time interval, InlineFn fn);
-  ~Periodic();
-  Periodic(const Periodic&) = delete;
-  Periodic& operator=(const Periodic&) = delete;
-
-  void stop();
-  bool running() const { return running_; }
-
- private:
-  Simulator& sim_;
-  Time interval_;
-  InlineFn fn_;
-  EventId pending_ = kInvalidEvent;
-  bool running_ = true;
+  Time firing_rearm_delay_ = kTimeZero;
 };
 
 }  // namespace vdm::sim

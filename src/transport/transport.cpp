@@ -1,12 +1,13 @@
 #include "transport/transport.hpp"
 
+#include "util/require.hpp"
+
 namespace vdm::transport {
 
-// Mirrors sim::Periodic tick-for-tick: one schedule_in at construction, each
-// tick re-arms the same slot in place (id never changes), stop() from inside
-// the tick suppresses the re-arm via the backend's firing-cancelled check.
 PeriodicTimer::PeriodicTimer(Reactor& reactor, Time interval, TimerFn fn)
     : reactor_(reactor), interval_(interval), fn_(std::move(fn)) {
+  VDM_REQUIRE(interval_ > 0.0);
+  VDM_REQUIRE(fn_ != nullptr);
   pending_ = reactor_.schedule_in(interval_, [this] {
     fn_();
     if (running_) {

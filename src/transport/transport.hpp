@@ -101,11 +101,12 @@ struct RetryPolicy {
   }
 };
 
-/// RAII periodic timer over any Reactor — transport::PeriodicTimer is to
-/// Reactor what sim::Periodic is to Simulator, and replicates its behaviour
-/// exactly (one slot for life, in-place re-arm, stop() from inside the tick
-/// suppresses the re-arm): a sim-hosted session heartbeat schedules the
-/// identical event sequence it did before the seam.
+/// RAII periodic timer over any Reactor: runs `fn` every `interval` (> 0)
+/// seconds starting at now + interval, until destroyed or stop()ped. One
+/// slot for life — each tick re-arms in place, so steady state allocates
+/// nothing and the pending id never changes; stop() from inside the tick
+/// suppresses the re-arm. Its event sequence is exactly the raw
+/// schedule_in + reschedule_current_in idiom's.
 class PeriodicTimer {
  public:
   PeriodicTimer(Reactor& reactor, Time interval, TimerFn fn);

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
 #include "experiments/runner.hpp"
@@ -69,18 +68,21 @@ TEST(SimulatorEdge, CancelInsideOwnCallbackDoesNotBreakEngine) {
 }
 
 TEST(SimulatorEdge, PeriodicStopFromInsideOwnTick) {
+  // The self re-arming idiom: cancelling its own id mid-tick refuses the
+  // re-arm, so the slot is freed and nothing stays queued on a lane.
   Simulator s;
   int ticks = 0;
-  std::unique_ptr<Periodic> timer;
-  timer = std::make_unique<Periodic>(s, 1.0, [&] {
-    if (++ticks == 3) timer->stop();
+  EventId self = kInvalidEvent;
+  self = s.schedule_in(1.0, [&] {
+    if (++ticks == 3) s.cancel(self);
+    EXPECT_EQ(s.reschedule_current_in(1.0), ticks < 3);
   });
   s.run_until(10.0);
   EXPECT_EQ(ticks, 3);
-  EXPECT_FALSE(timer->running());
   EXPECT_EQ(s.pending(), 0u);
   EXPECT_DOUBLE_EQ(s.now(), 10.0);
-  timer->stop();  // idempotent after self-stop
+  s.cancel(self);  // stale id after the self-stop: a no-op
+  EXPECT_EQ(s.pending(), 0u);
 }
 
 TEST(SimulatorEdge, PendingIsAccurateUnderCancelChurn) {

@@ -1,7 +1,7 @@
 // Transport seam tests (DESIGN.md §14): the SimReactor's 1:1 delegation
-// contract, PeriodicTimer's equivalence with sim::Periodic, the UdpReactor
-// over real loopback sockets, and the RetrySender's retransmission schedule
-// (driven deterministically on the DES backend).
+// contract, PeriodicTimer's equivalence with the raw re-arm idiom, the
+// UdpReactor over real loopback sockets, and the RetrySender's
+// retransmission schedule (driven deterministically on the DES backend).
 
 #include <gtest/gtest.h>
 
@@ -72,10 +72,59 @@ TEST(SimReactor, IdsMatchRawSimulatorExactly) {
 
 // -------------------------------------------------------------- PeriodicTimer
 
-TEST(PeriodicTimer, MatchesSimPeriodicFireTimes) {
+TEST(Periodic, FiresRepeatedly) {
+  sim::Simulator s;
+  transport::SimReactor reactor(&s);
+  int fires = 0;
+  transport::PeriodicTimer p(reactor, 1.0, [&] { ++fires; });
+  s.run_until(5.5);
+  EXPECT_EQ(fires, 5);
+}
+
+TEST(Periodic, StopHaltsFiring) {
+  sim::Simulator s;
+  transport::SimReactor reactor(&s);
+  int fires = 0;
+  transport::PeriodicTimer* self = nullptr;
+  transport::PeriodicTimer p(reactor, 1.0, [&] {
+    ++fires;
+    if (fires == 3) self->stop();
+  });
+  self = &p;
+  s.run_until(10.0);
+  EXPECT_EQ(fires, 3);
+  EXPECT_FALSE(p.running());
+}
+
+TEST(Periodic, DestructionCancelsPending) {
+  sim::Simulator s;
+  transport::SimReactor reactor(&s);
+  int fires = 0;
+  {
+    transport::PeriodicTimer p(reactor, 1.0, [&] { ++fires; });
+    s.run_until(2.5);
+  }
+  s.run_until(10.0);
+  EXPECT_EQ(fires, 2);
+  EXPECT_EQ(s.pending(), 0u);
+}
+
+TEST(Periodic, RejectsNonPositiveInterval) {
+  sim::Simulator s;
+  transport::SimReactor reactor(&s);
+  EXPECT_THROW(transport::PeriodicTimer(reactor, 0.0, [] {}),
+               util::InvariantError);
+}
+
+TEST(PeriodicTimer, MatchesRawRearmFireTimes) {
+  // The raw idiom Session uses for its chunk clock, refinement and
+  // heartbeat timers: one schedule_in, then reschedule_current_in per tick.
   sim::Simulator sim_a;
   std::vector<sim::Time> fires_a;
-  sim::Periodic periodic(sim_a, 0.25, [&] { fires_a.push_back(sim_a.now()); });
+  const sim::EventId raw = sim_a.schedule_in(0.25, [&] {
+    fires_a.push_back(sim_a.now());
+    sim_a.reschedule_current_in(0.25);
+  });
 
   sim::Simulator sim_b;
   transport::SimReactor reactor(&sim_b);
@@ -87,6 +136,11 @@ TEST(PeriodicTimer, MatchesSimPeriodicFireTimes) {
   reactor.run_until(2.0);
   ASSERT_FALSE(fires_a.empty());
   EXPECT_EQ(fires_a, fires_b);
+  EXPECT_EQ(sim_a.pending(), sim_b.pending());
+  sim_a.cancel(raw);
+  timer.stop();
+  EXPECT_EQ(sim_a.pending(), 0u);
+  EXPECT_EQ(sim_b.pending(), 0u);
 }
 
 TEST(PeriodicTimer, StopFromInsideTickSuppressesRearm) {
