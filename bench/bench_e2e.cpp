@@ -8,6 +8,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -247,6 +248,47 @@ BENCHMARK(BM_RunOnceCoord)
     ->Arg(65536)
     ->Arg(1048576)
     ->Unit(benchmark::kMillisecond);
+
+/// run_once on vdmsim's default paper timeline (10000 s: a 2000 s join
+/// phase, then 5 % churn per 400 s slot, 1 chunk/s) on the coordinate
+/// plane with VDM and sequential joins: 100x the chunks of the compressed
+/// rows above, so the chunk flood is most of what a per-edge data plane
+/// would cost here. data_transmissions_per_chunk (overlay edges a chunk
+/// crosses) and flood_visits_per_chunk (members the flood evaluated) are
+/// deterministic; on this lossless substrate the second is what the cached
+/// flood re-evaluates, and it must stay a small fraction of the first.
+/// arena_grow_per_iter must be exactly 0 after the warm run.
+void BM_RunOncePaperTimeline(benchmark::State& state) {
+  experiments::RunConfig cfg;
+  cfg.substrate = experiments::Substrate::kCoordPlane;
+  cfg.protocol = experiments::Proto::kVdm;
+  cfg.scenario.target_members = static_cast<std::size_t>(state.range(0));
+  cfg.session.chunk_rate = 1.0;
+  cfg.compute_mst_ratio = false;
+  cfg.seed = 1;
+  experiments::RunScratch scratch;
+  benchmark::DoNotOptimize(experiments::run_once(cfg, scratch));  // warm
+
+  const std::uint64_t grows_before = scratch.grow_events();
+  const std::uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
+  overlay::Session::Counters totals;
+  for (auto _ : state) {
+    experiments::RunResult r = experiments::run_once(cfg, scratch);
+    totals = r.totals;
+    benchmark::DoNotOptimize(r);
+  }
+  const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - allocs_before;
+  const auto iters = static_cast<double>(state.iterations());
+  const auto chunks = static_cast<double>(std::max<std::uint64_t>(totals.chunks_emitted, 1));
+  state.counters["data_transmissions_per_chunk"] =
+      static_cast<double>(totals.data_transmissions) / chunks;
+  state.counters["flood_visits_per_chunk"] =
+      static_cast<double>(totals.flood_visits) / chunks;
+  state.counters["arena_grow_per_iter"] =
+      static_cast<double>(scratch.grow_events() - grows_before) / iters;
+  state.counters["allocs_per_iter"] = static_cast<double>(allocs) / iters;
+}
+BENCHMARK(BM_RunOncePaperTimeline)->Arg(16384)->Unit(benchmark::kMillisecond);
 
 /// Flash crowd on the coordinate-embedded US underlay: a 1024-member
 /// steady-state overlay absorbs range(0) simultaneous joiners through the

@@ -395,7 +395,11 @@ RunResult run_once(const RunConfig& config, RunScratch& scratch) {
   overlay::MetricProvider& metric = cached_metric(*scratch.impl_, config, simulator);
   overlay::SessionParams sp = config.session;
   sp.source = 0;
-  overlay::Session session(simulator, *underlay, protocol, metric, sp, session_rng);
+  const net::Underlay& session_net = config.underlay_view != nullptr
+                                         ? config.underlay_view->view(*underlay)
+                                         : *underlay;
+  overlay::Session session(simulator, session_net, protocol, metric, sp,
+                           session_rng);
   // Adopt the arena's warm storage (tree, walk buffers, placement index,
   // event-path buffers); swapped back after the final metrics read.
   session.swap_storage(scratch.impl_->session);
@@ -493,6 +497,7 @@ RunResult run_once(const RunConfig& config, RunScratch& scratch) {
                                            *underlay, scratch.impl_->mst)
                     : 1.0;
   r.final_members = session.tree().alive_count();
+  r.totals = session.totals();
   r.profile_join_secs = session.profile().join_secs;
   r.profile_refine_secs = session.profile().refine_secs;
   r.profile_flood_secs = session.profile().flood_secs;

@@ -27,6 +27,17 @@ enum class Proto { kVdm, kVdmRefine, kHmtp, kBtp, kRandom };
 
 enum class Metric { kDelay, kLoss, kBlend, kCachedDelay, kCachedLoss };
 
+/// Hands the session a view of the substrate run_once built: a forwarding
+/// underlay that counts or alters what the session sees (tests force the
+/// per-edge flood through one whose zero_loss() is false).
+class UnderlayView {
+ public:
+  virtual ~UnderlayView() = default;
+  /// The underlay the session runs over instead of `built`; must stay valid
+  /// until run_once returns.
+  virtual const net::Underlay& view(const net::Underlay& built) = 0;
+};
+
 /// Complete description of one experiment run (or one seed of a family).
 struct RunConfig {
   Substrate substrate = Substrate::kTransitStub;
@@ -83,6 +94,10 @@ struct RunConfig {
   /// reconnect, refine) reports per-iteration steps (vdmsim --trace-joins).
   /// Not owned; must outlive the run. Leave null for normal runs.
   overlay::WalkObserver* walk_observer = nullptr;
+  /// Test hook: when set, the session (its probes, flood and the
+  /// collector's tree measurements) runs over underlay_view->view(built).
+  /// The final-tree MST ratio still reads the built substrate. Not owned.
+  UnderlayView* underlay_view = nullptr;
 
   std::uint64_t seed = 1;
 };
@@ -139,6 +154,8 @@ struct RunResult {
   /// Tree-cost / MST-cost on the final settled tree (Figure 5.31).
   double mst_ratio = 1.0;
   std::size_t final_members = 0;
+  /// The session's whole-run counters (Session::totals()).
+  overlay::Session::Counters totals;
 
   /// Wall-clock seconds per phase (vdmsim --profile); all zero unless
   /// config.session.profile. join covers every attaching walk (fresh,

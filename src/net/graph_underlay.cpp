@@ -1,13 +1,21 @@
 #include "net/graph_underlay.hpp"
 
+#include <algorithm>
+
 #include "util/require.hpp"
 
 namespace vdm::net {
 
 GraphUnderlay::GraphUnderlay(Graph graph, std::vector<NodeId> hosts)
     : graph_(std::move(graph)), hosts_(std::move(hosts)), router_(graph_) {
+  seat_topology();
+}
+
+void GraphUnderlay::seat_topology() {
   VDM_REQUIRE_MSG(!hosts_.empty(), "an underlay needs at least one host");
   for (const NodeId v : hosts_) VDM_REQUIRE(v < graph_.num_nodes());
+  zero_loss_ = std::all_of(graph_.links().begin(), graph_.links().end(),
+                           [](const Link& l) { return l.loss == 0.0; });
 }
 
 const Router::PathStats& GraphUnderlay::pair(HostId a, HostId b) const {
@@ -58,8 +66,7 @@ void GraphUnderlay::release(Graph& graph_out, std::vector<NodeId>& hosts_out) {
 void GraphUnderlay::rebind(Graph graph, std::vector<NodeId> hosts) {
   graph_ = std::move(graph);
   hosts_ = std::move(hosts);
-  VDM_REQUIRE_MSG(!hosts_.empty(), "an underlay needs at least one host");
-  for (const NodeId v : hosts_) VDM_REQUIRE(v < graph_.num_nodes());
+  seat_topology();
   // The rebuilt graph carries a strictly newer version (Graph::clear bumps
   // it), so the router cache and the pair cache invalidate lazily on first
   // query; forcing it here keeps rebind() robust even against an identical

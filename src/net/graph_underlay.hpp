@@ -33,7 +33,7 @@ class GraphUnderlay final : public Underlay {
       : graph_(std::move(other.graph_)), hosts_(std::move(other.hosts_)),
         router_(graph_), pair_stats_(std::move(other.pair_stats_)),
         pair_epoch_(std::move(other.pair_epoch_)), epoch_(other.epoch_),
-        cached_version_(other.cached_version_) {}
+        cached_version_(other.cached_version_), zero_loss_(other.zero_loss_) {}
   GraphUnderlay& operator=(GraphUnderlay&&) = delete;
   GraphUnderlay(const GraphUnderlay&) = delete;
   GraphUnderlay& operator=(const GraphUnderlay&) = delete;
@@ -50,6 +50,9 @@ class GraphUnderlay final : public Underlay {
                           util::FunctionRef<void(LinkId)> visit) const override;
   double link_delay(LinkId link) const override { return graph_.link(link).delay; }
   std::size_t num_links() const override { return graph_.num_links(); }
+  /// Every link of the bound graph has loss 0, so every path loss is
+  /// 1 - (1 - 0)^k = 0 exactly. Computed once per bind/rebind.
+  bool zero_loss() const override { return zero_loss_; }
 
   /// IP hop count of the unicast path a -> b (0 for a == b / unreachable).
   std::size_t path_hops(HostId a, HostId b) const {
@@ -82,6 +85,9 @@ class GraphUnderlay final : public Underlay {
   std::size_t arena_capacity_bytes() const;
 
  private:
+  /// Validates the host map against the graph and caches zero_loss_.
+  void seat_topology();
+
   /// Strict-upper-triangle index of the unordered host pair {a, b}, a != b.
   std::size_t pair_index(HostId a, HostId b) const {
     if (a > b) std::swap(a, b);
@@ -100,6 +106,7 @@ class GraphUnderlay final : public Underlay {
   mutable std::vector<std::uint64_t> pair_epoch_;
   mutable std::uint64_t epoch_ = 1;
   mutable std::uint64_t cached_version_ = ~0ull;
+  bool zero_loss_ = false;
 };
 
 }  // namespace vdm::net

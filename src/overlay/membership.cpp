@@ -12,8 +12,11 @@ void FloodTable::assign(std::size_t n) {
   in_session_since.assign(n, 0.0);
   uplink_loss.assign(n, 0.0);
   uplink_loss_parent.assign(n, kInvalidHost);
-  chunks_expected.assign(n, 0);
-  chunks_received.assign(n, 0);
+  state.assign(n, 0);
+  dirty.clear();
+  pending.clear();
+  sums = FloodSums{};
+  tracking = false;
 }
 
 void FloodTable::reset_host(HostId h) {
@@ -21,17 +24,16 @@ void FloodTable::reset_host(HostId h) {
   in_session_since[h] = 0.0;
   uplink_loss[h] = 0.0;
   uplink_loss_parent[h] = kInvalidHost;
-  chunks_expected[h] = 0;
-  chunks_received[h] = 0;
 }
 
 std::size_t FloodTable::capacity_bytes() const {
   return (receiving_since.capacity() + in_session_since.capacity() +
           uplink_loss.capacity()) *
              sizeof(double) +
-         uplink_loss_parent.capacity() * sizeof(HostId) +
-         (chunks_expected.capacity() + chunks_received.capacity()) *
-             sizeof(std::uint32_t);
+         (uplink_loss_parent.capacity() + dirty.capacity() +
+          pending.capacity()) *
+             sizeof(HostId) +
+         state.capacity();
 }
 
 void Membership::reset(std::size_t num_hosts, HostId source) {
@@ -91,12 +93,15 @@ void Membership::deactivate(HostId h, std::vector<HostId>& orphans_out) {
   for (const HostId c : orphans_out) {
     MemberState& cm = members_.at(c);
     cm.parent = kInvalidHost;
+    flood_.mark_dirty(c);
     // The orphan remembers its grandparent: that is where reconnection
     // starts (§3.3). Do not clear cm.grandparent here.
   }
   m.children.clear();
   m.child_dists.clear();
   m.alive = false;
+  // A dead member is in no flood: its share leaves the sums now.
+  if (flood_.tracking) flood_.set_eval(h, 0);
   if (m.degree_limit == 1) --limit1_alive_;
   --alive_count_;
 }
@@ -118,6 +123,7 @@ void Membership::attach(HostId child, HostId parent, double measured_dist,
   cm.parent = parent;
   cm.grandparent = pm.parent;
   refresh_grandparent_of_children(child);
+  flood_.mark_dirty(child);
   if (observer_ != nullptr) observer_->on_attach(child, parent);
 }
 
@@ -134,6 +140,7 @@ void Membership::detach(HostId child) {
   pm.children.erase(it);
   cm.parent = kInvalidHost;
   cm.grandparent = kInvalidHost;
+  flood_.mark_dirty(child);
   // Children of `child` now have a detached parent; their grandparent
   // pointer (towards the old parent) is stale until `child` re-attaches,
   // exactly as in the protocol, where grandparent updates ride on

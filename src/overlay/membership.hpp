@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "net/types.hpp"
@@ -15,12 +16,10 @@ using net::kInvalidHost;
 /// child (§3.2: "Each node has children list and distances to them. They
 /// also know their parent and grandparent.").
 ///
-/// This struct is tree structure only. The data-plane flood fields that
-/// used to lead it (receiving_since, uplink-loss memo, chunk counters) live
-/// in Membership's FloodTable as parallel per-host arrays instead: the
-/// chunk flood, heartbeat sweeps and TreeWalk child enumeration then stream
-/// contiguous cache lines rather than chasing 100k+ scattered MemberStates,
-/// and MemberState itself shrinks to about one cache line.
+/// This struct is tree structure only. The data-plane flood fields
+/// (receiving_since, the uplink-loss memo, the lossless flood cache) live
+/// in Membership's FloodTable as parallel per-host arrays instead, and
+/// MemberState itself stays about one cache line.
 struct MemberState {
   std::vector<HostId> children;
   /// Virtual distance to children[i] as measured when it connected (the
@@ -53,11 +52,27 @@ struct MemberState {
   bool is_root() const { return alive && parent == kInvalidHost; }
 };
 
-/// Hot data-plane member state in struct-of-arrays layout, indexed by host.
-/// Session::emit_chunk touches these fields for every overlay edge of every
-/// chunk — the hottest loop of a run — so each field is its own contiguous
-/// array and an edge visit costs a handful of streamed loads instead of a
-/// random 136-byte struct fetch.
+/// What one chunk adds to the session's data-plane counters: transmissions
+/// over overlay edges, members expecting the chunk, members receiving it.
+struct FloodSums {
+  std::uint64_t transmissions = 0;
+  std::uint64_t expected = 0;
+  std::uint64_t delivered = 0;
+  friend bool operator==(const FloodSums&, const FloodSums&) = default;
+};
+
+/// Hot data-plane member state in struct-of-arrays layout, indexed by host,
+/// plus the cache that lets a lossless session skip the per-edge flood.
+///
+/// On an underlay whose loss is identically zero the flood draws no
+/// randomness, so a member's share of a chunk is fixed by its root path and
+/// its two thresholds (receiving_since, in_session_since). While `tracking`
+/// is on (Session::start enables it on lossless underlays), `state` caches
+/// each member's evaluation bits (see Session::flood_incremental), `sums`
+/// holds the sum of every member's contribution, and the mutation points
+/// queue what may have changed: tree mutations mark the moved child (or a
+/// departed member's children) dirty, threshold writes and crash-orphan
+/// changes mark the member pending. Off, the marks are a single branch.
 struct FloodTable {
   /// When the member (re)gained a working path to the source. Data chunks
   /// arriving earlier are not deliverable to it (join/reconnect outage).
@@ -70,15 +85,91 @@ struct FloodTable {
   /// the underlay is immutable once a session streams.
   std::vector<double> uplink_loss;
   std::vector<HostId> uplink_loss_parent;
-  /// Data-plane accounting for the loss-rate metric. 32-bit: even day-long
-  /// sessions emit far fewer than 4G chunks per member.
-  std::vector<std::uint32_t> chunks_expected;
-  std::vector<std::uint32_t> chunks_received;
 
-  /// Sizes every array to `n` hosts and zeroes it (capacity kept).
+  /// Bits of state[h]. The low five are the member's cached evaluation:
+  /// which flood reaches it (the source's tree or a crash orphan's
+  /// subtree; neither when detached or dead), whether the chunk arrives,
+  /// whether it is expected, and whether its parent transmits it. The next
+  /// two keep each member on the dirty and pending lists at most once.
+  enum : std::uint8_t {
+    kReachSource = 1 << 0,
+    kReachOrphan = 1 << 1,
+    kDelivered = 1 << 2,
+    kExpected = 1 << 3,
+    kSent = 1 << 4,
+    kDirtyQueued = 1 << 5,
+    kPendingQueued = 1 << 6,
+  };
+  static constexpr std::uint8_t kReach = kReachSource | kReachOrphan;
+  static constexpr std::uint8_t kEval = kReach | kDelivered | kExpected | kSent;
+  std::vector<std::uint8_t> state;
+  /// Members whose root path changed since the last chunk.
+  std::vector<HostId> dirty;
+  /// Members with a threshold or crash-orphan change whose effect is not
+  /// yet settled: checked at every chunk until both thresholds have passed.
+  std::vector<HostId> pending;
+  /// Sum of every member's cached contribution.
+  FloodSums sums;
+  bool tracking = false;
+
+  /// Sizes every array to `n` hosts and zeroes it (capacity kept); clears
+  /// the cache and turns tracking off.
   void assign(std::size_t n);
-  /// Resets host `h` to the just-activated state.
+  /// Resets host `h`'s thresholds and uplink memo to the just-activated
+  /// state.
   void reset_host(HostId h);
+
+  /// Threshold writes: the new value is compared with the clock only at
+  /// the next chunk, so the member goes pending.
+  void set_receiving_since(HostId h, sim::Time t) {
+    receiving_since[h] = t;
+    mark_pending(h);
+  }
+  void set_in_session_since(HostId h, sim::Time t) {
+    in_session_since[h] = t;
+    mark_pending(h);
+  }
+  void mark_dirty(HostId h) {
+    if (!tracking || (state[h] & kDirtyQueued) != 0) return;
+    state[h] |= kDirtyQueued;
+    dirty.push_back(h);
+  }
+  void mark_pending(HostId h) {
+    if (!tracking || (state[h] & kPendingQueued) != 0) return;
+    state[h] |= kPendingQueued;
+    pending.push_back(h);
+  }
+
+  /// Evaluation bits of member `h` given its parent's evaluation bits `up`
+  /// (for a detached member: kReachOrphan under a pending crash, else 0).
+  /// Mirrors one edge of the per-edge flood at zero loss.
+  std::uint8_t evaluate(HostId h, std::uint8_t up, sim::Time now,
+                        sim::Time buffered_now) const {
+    const std::uint8_t reach = up & kReach;
+    if (reach == 0) return 0;
+    std::uint8_t e = reach;
+    if (now >= in_session_since[h]) e |= kExpected;
+    if ((up & kDelivered) != 0) {
+      e |= kSent;
+      if (buffered_now >= receiving_since[h]) e |= kDelivered;
+    }
+    return e;
+  }
+
+  /// Replaces `h`'s cached evaluation by `e`, moving its contribution in
+  /// `sums`. Returns the old evaluation bits.
+  std::uint8_t set_eval(HostId h, std::uint8_t e) {
+    const std::uint8_t old = state[h];
+    sums.transmissions += (e & kSent) != 0;
+    sums.transmissions -= (old & kSent) != 0;
+    sums.expected += (e & kExpected) != 0;
+    sums.expected -= (old & kExpected) != 0;
+    sums.delivered += (e & (kExpected | kDelivered)) == (kExpected | kDelivered);
+    sums.delivered -= (old & (kExpected | kDelivered)) == (kExpected | kDelivered);
+    state[h] = static_cast<std::uint8_t>((old & ~kEval) | e);
+    return old & kEval;
+  }
+
   std::size_t capacity_bytes() const;
 };
 
@@ -127,8 +218,8 @@ class Membership {
   const MemberState& member_unchecked(HostId h) const { return members_[h]; }
   MemberState& mutable_member_unchecked(HostId h) { return members_[h]; }
 
-  /// The SoA data-plane state (see FloodTable). Arrays are indexed by host
-  /// and sized num_hosts().
+  /// The SoA data-plane state and lossless flood cache (see FloodTable).
+  /// Arrays are indexed by host and sized num_hosts().
   FloodTable& flood() { return flood_; }
   const FloodTable& flood() const { return flood_; }
 
@@ -136,7 +227,8 @@ class Membership {
   void activate(HostId h, int degree_limit);
 
   /// Marks `h` dead and detaches it from parent and children. Children are
-  /// left orphaned (parent = invalid) for the protocol to reconnect.
+  /// left orphaned (parent = invalid) for the protocol to reconnect, and
+  /// marked flood-dirty; `h`'s cached flood share is dropped at once.
   /// Returns the orphaned children.
   std::vector<HostId> deactivate(HostId h);
 
@@ -146,12 +238,13 @@ class Membership {
 
   /// Connects `child` (alive, currently detached) under `parent` (alive,
   /// with free degree unless `allow_full`). Records the measured virtual
-  /// distance and refreshes grandparent pointers of `child`'s children.
+  /// distance, refreshes grandparent pointers of `child`'s children and
+  /// marks `child` flood-dirty.
   void attach(HostId child, HostId parent, double measured_dist,
               bool allow_full = false);
 
   /// Disconnects `child` from its parent (keeps it alive and keeps its own
-  /// subtree intact).
+  /// subtree intact) and marks it flood-dirty.
   void detach(HostId child);
 
   /// Re-parents `child` from its current parent to `new_parent`

@@ -35,6 +35,11 @@ class PhaseTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
+/// The source's flood evaluation: the chunk starts there, and it is
+/// neither expected nor sent (it contributes nothing to the sums).
+constexpr std::uint8_t kSourceEval =
+    FloodTable::kReachSource | FloodTable::kDelivered;
+
 }  // namespace
 
 OpStats Protocol::execute_refine(Session&, net::HostId) { return {}; }
@@ -103,8 +108,13 @@ void Session::start() {
   storage_.heartbeats.assign(
       params_.faults.heartbeat_period > 0.0 ? underlay_.num_hosts() : 0,
       HeartbeatState{});
+  FloodTable& fl = tree().flood();
+  // At zero loss the flood draws nothing, so each chunk's counts follow
+  // from cached per-member state (see flood_incremental).
+  fl.tracking = params_.data_plane && underlay_.zero_loss();
   tree().activate(params_.source, params_.source_degree_limit);
-  tree().flood().in_session_since[params_.source] = reactor_.now();
+  fl.set_in_session_since(params_.source, reactor_.now());
+  if (fl.tracking) fl.set_eval(params_.source, kSourceEval);
   if (params_.join_mode != JoinMode::kSequential) {
     VDM_REQUIRE_MSG(params_.join_mode != JoinMode::kConcurrent ||
                         protocol_.pipeline_support() != nullptr,
@@ -173,7 +183,7 @@ TimingRecord Session::join(net::HostId h, int degree_limit) {
   if (params_.join_mode == JoinMode::kLocating) start = locate_entry(h, pre);
   const TimingRecord rec =
       run_join(h, start, /*is_reconnect=*/false, /*detection=*/0.0, pre);
-  tree().flood().in_session_since[h] = reactor_.now() + rec.duration;
+  tree().flood().set_in_session_since(h, reactor_.now() + rec.duration);
   if (protocol_.wants_refinement()) arm_refinement(h);
   if (params_.paranoid_checks) tree().validate();
   return rec;
@@ -215,7 +225,7 @@ TimingRecord Session::finish_join(net::HostId h, const OpStats& stats,
 
   // The node (and transitively its subtree, which the data plane blocks
   // through this node) starts receiving once the join handshake finishes.
-  tree().flood().receiving_since[h] = reactor_.now() + stats.elapsed;
+  tree().flood().set_receiving_since(h, reactor_.now() + stats.elapsed);
 
   if (is_reconnect) {
     storage_.reconnect_records.push_back(rec);
@@ -357,7 +367,7 @@ void Session::drain_join_batch() {
           break;
         }
         finish_join(w.host, w.stats, /*is_reconnect=*/false, 0.0);
-        tree().flood().in_session_since[w.host] = now + w.stats.elapsed;
+        tree().flood().set_in_session_since(w.host, now + w.stats.elapsed);
         if (protocol_.wants_refinement()) arm_refinement(w.host);
         // The attach created capacity (the joiner's own free slots) and may
         // have restructured the neighborhood — wake parked walkers, FIFO.
@@ -453,6 +463,7 @@ void Session::crash(net::HostId h) {
     hb.orphaned = true;
     hb.orphaned_at = now;
     crash_orphans_.push_back(orphan);
+    tree().flood().mark_pending(orphan);
   }
 }
 
@@ -593,7 +604,9 @@ void Session::disarm_heartbeat(net::HostId h) {
 
 void Session::forget_crash_orphan(net::HostId h) {
   const auto it = std::find(crash_orphans_.begin(), crash_orphans_.end(), h);
-  if (it != crash_orphans_.end()) crash_orphans_.erase(it);
+  if (it == crash_orphans_.end()) return;
+  crash_orphans_.erase(it);
+  tree().flood().mark_pending(h);
 }
 
 void Session::heartbeat_tick(net::HostId h) {
@@ -683,35 +696,47 @@ void Session::emit_chunk() {
   ++totals_.chunks_emitted;
   const sim::Time now = reactor_.now();
   const sim::Time buffered_now = now + params_.buffer_seconds;
+  std::uint64_t visits = 0;
+  const FloodSums sums = tree().flood().tracking
+                             ? flood_incremental(now, buffered_now, visits)
+                             : flood_per_edge(now, buffered_now, visits);
+  window_.data_transmissions += sums.transmissions;
+  totals_.data_transmissions += sums.transmissions;
+  window_.chunks_expected += sums.expected;
+  totals_.chunks_expected += sums.expected;
+  window_.chunks_delivered += sums.delivered;
+  totals_.chunks_delivered += sums.delivered;
+  window_.flood_visits += visits;
+  totals_.flood_visits += visits;
+}
 
+FloodSums Session::flood_per_edge(sim::Time now, sim::Time buffered_now,
+                                  std::uint64_t& visits) {
   // Flood the chunk down the tree. A node is *expected* to see the chunk
   // once it has completed its initial join; it actually *receives* it only
   // if it is not inside a reconnection outage, its parent received it, and
   // the overlay-path loss draw succeeds. Descendants of an outaged node
   // therefore miss chunks too — exactly the churn loss the paper measures.
   //
-  // This is the hottest loop of a whole run (every overlay edge, every
-  // chunk), so it runs allocation-free on reusable scratch, memoizes each
-  // child's uplink loss, and accumulates session counters in locals. All
-  // per-member state the flood touches lives in the Membership FloodTable's
-  // parallel arrays (SoA), so at 100k+ members an edge visit streams a few
-  // contiguous cache lines instead of fetching a scattered member struct.
-  // Leaves are never pushed, and the rng draw order matches the naive
-  // traversal exactly (skipped leaf frames drew nothing), preserving
-  // determinism.
+  // This loop visits every overlay edge of every chunk, so it runs
+  // allocation-free on reusable scratch, memoizes each child's uplink loss,
+  // and accumulates in locals. Leaves are never pushed, and the rng draw
+  // order matches the naive traversal exactly (skipped leaf frames drew
+  // nothing), preserving determinism.
   FloodTable& fl = tree().flood();
-  std::uint64_t transmissions = 0;
-  std::uint64_t expected = 0;
-  std::uint64_t delivered_total = 0;
-  storage_.chunk_stack.clear();
-  storage_.chunk_stack.push_back({params_.source, true});
-  while (!storage_.chunk_stack.empty()) {
-    const ChunkFrame f = storage_.chunk_stack.back();
-    storage_.chunk_stack.pop_back();
+  FloodSums sums;
+  std::uint64_t evaluated = 0;
+  std::vector<ChunkFrame>& stack = storage_.chunk_stack;
+  stack.clear();
+  stack.push_back({params_.source, true});
+  while (!stack.empty()) {
+    const ChunkFrame f = stack.back();
+    stack.pop_back();
     for (const net::HostId c : tree().member_unchecked(f.host).children) {
+      ++evaluated;
       bool delivered = false;
       if (f.delivered) {
-        ++transmissions;
+        ++sums.transmissions;
         // A playout buffer forgives outages that end within
         // buffer_seconds: the chunk is recovered from the new parent
         // before playback needs it, so the viewer never sees the gap.
@@ -724,15 +749,11 @@ void Session::emit_chunk() {
         }
       }
       if (now >= fl.in_session_since[c]) {
-        ++fl.chunks_expected[c];
-        ++expected;
-        if (delivered) {
-          ++fl.chunks_received[c];
-          ++delivered_total;
-        }
+        ++sums.expected;
+        if (delivered) ++sums.delivered;
       }
       if (!tree().member_unchecked(c).children.empty()) {
-        storage_.chunk_stack.push_back({c, delivered});
+        stack.push_back({c, delivered});
       }
     }
   }
@@ -742,26 +763,97 @@ void Session::emit_chunk() {
   // chunks — that gap IS the churn loss a crash causes. Walk them
   // explicitly; draws nothing and costs nothing when no crash is pending.
   for (const net::HostId root : crash_orphans_) {
-    storage_.chunk_stack.push_back({root, false});
-    while (!storage_.chunk_stack.empty()) {
-      const ChunkFrame f = storage_.chunk_stack.back();
-      storage_.chunk_stack.pop_back();
-      if (now >= fl.in_session_since[f.host]) {
-        ++fl.chunks_expected[f.host];
-        ++expected;
-      }
+    stack.push_back({root, false});
+    while (!stack.empty()) {
+      const ChunkFrame f = stack.back();
+      stack.pop_back();
+      ++evaluated;
+      if (now >= fl.in_session_since[f.host]) ++sums.expected;
       for (const net::HostId c : tree().member_unchecked(f.host).children) {
-        storage_.chunk_stack.push_back({c, false});
+        stack.push_back({c, false});
       }
     }
   }
+  visits += evaluated;
+  return sums;
+}
 
-  window_.data_transmissions += transmissions;
-  totals_.data_transmissions += transmissions;
-  window_.chunks_expected += expected;
-  totals_.chunks_expected += expected;
-  window_.chunks_delivered += delivered_total;
-  totals_.chunks_delivered += delivered_total;
+std::uint8_t Session::flood_eval(net::HostId h, sim::Time now,
+                                 sim::Time buffered_now) const {
+  if (h == params_.source) return kSourceEval;
+  const FloodTable& fl = tree().flood();
+  const net::HostId parent = tree().member_unchecked(h).parent;
+  std::uint8_t up = 0;
+  if (parent != kInvalidHost) {
+    up = fl.state[parent];
+  } else if (std::find(crash_orphans_.begin(), crash_orphans_.end(), h) !=
+             crash_orphans_.end()) {
+    up = FloodTable::kReachOrphan;
+  }
+  return fl.evaluate(h, up, now, buffered_now);
+}
+
+FloodSums Session::flood_incremental(sim::Time now, sim::Time buffered_now,
+                                     std::uint64_t& visits) {
+  // The cached evaluations equal what flood_per_edge would compute for this
+  // chunk once every member whose evaluation may have moved is re-evaluated.
+  // Those are the dirty roots (root path changed), the pending members whose
+  // thresholds are crossed now (thresholds are read only here, at chunk
+  // time), and, transitively, the children of any member whose reach or
+  // delivered bit changed. Everything else keeps its cached share.
+  FloodTable& fl = tree().flood();
+  std::uint64_t evaluated = fl.pending.size();
+  std::size_t keep = 0;
+  for (const net::HostId h : fl.pending) {
+    if (flood_eval(h, now, buffered_now) != (fl.state[h] & FloodTable::kEval)) {
+      fl.mark_dirty(h);
+    }
+    const bool settled = buffered_now >= fl.receiving_since[h] &&
+                         now >= fl.in_session_since[h];
+    if (tree().member_unchecked(h).alive && !settled) {
+      fl.pending[keep++] = h;
+    } else {
+      fl.state[h] &= static_cast<std::uint8_t>(~FloodTable::kPendingQueued);
+    }
+  }
+  fl.pending.resize(keep);
+  evaluated += fl.dirty.size();
+
+  // Only reach and delivery flow down an edge: a member whose expected or
+  // sent bit alone changed leaves its subtree as it was. Root order does
+  // not matter — a root evaluated against a parent that a later walk
+  // changes is re-evaluated by that walk.
+  constexpr std::uint8_t kFlowsDown = FloodTable::kReach | FloodTable::kDelivered;
+  std::vector<ChunkFrame>& stack = storage_.chunk_stack;
+  for (const net::HostId root : fl.dirty) {
+    fl.state[root] &= static_cast<std::uint8_t>(~FloodTable::kDirtyQueued);
+    const std::uint8_t e = flood_eval(root, now, buffered_now);
+    if (((fl.set_eval(root, e) ^ e) & kFlowsDown) == 0) continue;
+    stack.clear();
+    stack.push_back({root, false});
+    while (!stack.empty()) {
+      const net::HostId at = stack.back().host;
+      stack.pop_back();
+      const std::uint8_t up = fl.state[at];
+      for (const net::HostId c : tree().member_unchecked(at).children) {
+        ++evaluated;
+        const std::uint8_t ce = fl.evaluate(c, up, now, buffered_now);
+        if (((fl.set_eval(c, ce) ^ ce) & kFlowsDown) != 0 &&
+            !tree().member_unchecked(c).children.empty()) {
+          stack.push_back({c, false});
+        }
+      }
+    }
+  }
+  fl.dirty.clear();
+  visits += evaluated;
+
+  if (params_.paranoid_checks) {
+    std::uint64_t reference_visits = 0;
+    VDM_REQUIRE_MSG(flood_per_edge(now, buffered_now, reference_visits) == fl.sums,
+                    "cached flood sums diverge from the per-edge flood");
+  }
+  return fl.sums;
 }
 
 }  // namespace vdm::overlay

@@ -175,7 +175,7 @@ class Session {
     Membership tree{0};
     WalkScratch walk;
     std::unique_ptr<PlacementIndex> placement;
-    /// Chunk-flood traversal stack.
+    /// Chunk-flood traversal stack (per-edge flood and cache refresh).
     std::vector<ChunkFrame> chunk_stack;
     /// Leave/crash orphan list (never re-entered: each departure is a
     /// top-level event and the rejoins below it never deactivate).
@@ -326,6 +326,11 @@ class Session {
     /// 1 - delivered/expected is the network-wide loss rate of the window.
     std::uint64_t chunks_expected = 0;
     std::uint64_t chunks_delivered = 0;
+    /// Members the chunk floods evaluated: every member the per-edge flood
+    /// reaches, or the members the lossless cache refresh re-evaluated
+    /// (pending checks, dirty roots and the subtrees whose reach or
+    /// delivery changed).
+    std::uint64_t flood_visits = 0;
     std::uint64_t joins_completed = 0;
     std::uint64_t reconnects_completed = 0;
     std::uint64_t crashes = 0;
@@ -381,6 +386,19 @@ class Session {
   sim::Time lossy_elapsed(net::HostId from, net::HostId with, int messages,
                           sim::Time base, OpStats& stats);
   void emit_chunk();
+  /// One chunk over every overlay edge, drawing the path loss per edge: the
+  /// lossy data plane and the reference the cache is checked against.
+  FloodSums flood_per_edge(sim::Time now, sim::Time buffered_now,
+                           std::uint64_t& visits);
+  /// One chunk on a lossless underlay: refreshes the FloodTable cache where
+  /// a mutation or threshold may have moved it and returns its sums. Under
+  /// paranoid_checks it also runs flood_per_edge and requires equal sums.
+  FloodSums flood_incremental(sim::Time now, sim::Time buffered_now,
+                              std::uint64_t& visits);
+  /// `h`'s flood evaluation from its parent's cached bits (or, detached,
+  /// from whether it is a pending crash orphan) and its thresholds.
+  std::uint8_t flood_eval(net::HostId h, sim::Time now,
+                          sim::Time buffered_now) const;
 
   /// The DES backend when simulation-hosted; unbound (and unused) when an
   /// external reactor was supplied. By value so the sim-hosted constructor
@@ -419,10 +437,11 @@ class Session {
 
   /// Roots of subtrees detached by a crash and still awaiting detection.
   /// The data-plane flood cannot reach them via children lists, so
-  /// emit_chunk walks these explicitly to count the chunks their members
-  /// miss during the outage. Order-preserving (vector + std::find) so the
-  /// walk order — and thus nothing, since the walk draws no randomness —
-  /// stays deterministic.
+  /// flood_per_edge walks these explicitly (and the lossless cache marks
+  /// them kReachOrphan) to count the chunks their members miss during the
+  /// outage. Order-preserving (vector + std::find) so the walk order — and
+  /// thus nothing, since the walk draws no randomness — stays
+  /// deterministic.
   std::vector<net::HostId> crash_orphans_;
 
   Counters window_;

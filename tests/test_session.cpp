@@ -73,8 +73,15 @@ TEST(Session, ChunksFlowDownTheTree) {
   EXPECT_GT(t.chunks_emitted, 0u);
   // Two receivers per emission once both are in.
   EXPECT_GT(t.data_transmissions, t.chunks_emitted);
-  EXPECT_GT(h.session.tree().flood().chunks_received[1], 0u);
-  EXPECT_GT(h.session.tree().flood().chunks_received[2], 0u);
+  EXPECT_EQ(t.chunks_delivered, t.chunks_expected);
+  // From the first chunk after both handshakes, both receivers get every
+  // chunk.
+  h.session.reset_window();
+  h.sim.run_until(200.0);
+  const auto& w = h.session.window();
+  ASSERT_GT(w.chunks_emitted, 0u);
+  EXPECT_EQ(w.chunks_delivered, w.chunks_expected);
+  EXPECT_GE(w.chunks_delivered, 2 * w.chunks_emitted);
 }
 
 TEST(Session, NoLossOnCleanStaticNetwork) {

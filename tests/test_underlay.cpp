@@ -51,6 +51,46 @@ TEST(GraphUnderlay, LossCompoundsOverPath) {
   EXPECT_NEAR(u.loss(0, 1), 1.0 - 0.95 * 0.9 * 1.0, 1e-12);
 }
 
+TEST(GraphUnderlay, ZeroLossOnlyWhenEveryLinkIsLossless) {
+  EXPECT_TRUE(line_underlay().zero_loss());
+  EXPECT_EQ(line_underlay().loss(0, 1), 0.0);
+
+  // One lossy access link makes the whole graph lossy, even for pairs
+  // whose path avoids it.
+  Graph g = topo::make_line(2, 0.010);
+  const NodeId h1 = g.add_node();
+  const NodeId h2 = g.add_node();
+  const NodeId h3 = g.add_node();
+  g.add_link(h1, 0, 0.001);
+  g.add_link(h2, 1, 0.001);
+  g.add_link(h3, 1, 0.001, 0.02);
+  GraphUnderlay lossy(std::move(g), {h1, h2, h3});
+  EXPECT_FALSE(lossy.zero_loss());
+  EXPECT_EQ(lossy.loss(0, 1), 0.0);
+  EXPECT_GT(lossy.loss(0, 2), 0.0);
+
+  // rebind() recomputes it for the new topology, in both directions.
+  Graph old_graph;
+  std::vector<NodeId> old_hosts;
+  lossy.release(old_graph, old_hosts);
+  Graph clean = topo::make_line(2, 0.010);
+  const NodeId c1 = clean.add_node();
+  const NodeId c2 = clean.add_node();
+  clean.add_link(c1, 0, 0.001);
+  clean.add_link(c2, 1, 0.001);
+  lossy.rebind(std::move(clean), {c1, c2});
+  EXPECT_TRUE(lossy.zero_loss());
+  lossy.release(old_graph, old_hosts);
+  Graph dirty = topo::make_line(2, 0.010, 0.01);
+  const NodeId d1 = dirty.add_node();
+  const NodeId d2 = dirty.add_node();
+  dirty.add_link(d1, 0, 0.001);
+  dirty.add_link(d2, 1, 0.001);
+  lossy.rebind(std::move(dirty), {d1, d2});
+  EXPECT_FALSE(lossy.zero_loss());
+  EXPECT_GT(lossy.loss(0, 1), 0.0);
+}
+
 TEST(GraphUnderlay, RejectsEmptyHostList) {
   Graph g = topo::make_line(2);
   EXPECT_THROW(GraphUnderlay(std::move(g), {}), util::InvariantError);

@@ -5,6 +5,12 @@
 //
 //   ./build/bench/bench_e2e | ./build/tools/bench_to_json --label fastpath
 //
+// Input run with --benchmark_repetitions=N holds N rows per benchmark plus
+// _mean/_median/_stddev/_cv aggregates; each such benchmark is recorded once,
+// from its _median row (under the plain name, with "repetitions": N), and
+// the single repetitions and other aggregates are dropped. A single run of a
+// shared host can be off by a third; the median of several is steadier.
+//
 // --require <substring>[,<substring>...] makes the conversion fail unless
 // every listed substring matches some parsed row name — use it to guarantee
 // mandatory benchmarks (e.g. the crash-churn and flash-crowd runs) actually
@@ -19,7 +25,7 @@
 //
 // The trajectory file is an array of
 //   {"label", "recorded_at_utc", "results": {name: {"real_time_ms",
-//    "cpu_time_ms", "iterations", "counters": {...}}}}
+//    "cpu_time_ms", "iterations"[, "repetitions"], "counters": {...}}}}
 // so successive PRs can diff entries (see README "Performance").
 
 #include <cctype>
@@ -28,6 +34,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -41,6 +48,8 @@ struct BenchRow {
   double real_time_ms = 0.0;
   double cpu_time_ms = 0.0;
   long long iterations = 0;
+  /// Repetitions the row is the median of; 0 for a single run.
+  long long repetitions = 0;
   std::map<std::string, double> counters;
 };
 
@@ -100,6 +109,52 @@ bool parse_row(const std::string& line, BenchRow& row) {
   return true;
 }
 
+/// `name` without `suffix` when it ends with it, else "".
+std::string strip_suffix(const std::string& name, const std::string& suffix) {
+  if (name.size() <= suffix.size() ||
+      name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
+    return "";
+  }
+  return name.substr(0, name.size() - suffix.size());
+}
+
+/// Replaces every repeated benchmark by its _median aggregate (see the file
+/// comment). The median row's iteration column holds the repetition count;
+/// the iterations recorded are those of one repetition.
+std::vector<BenchRow> keep_medians(const std::vector<BenchRow>& rows) {
+  std::set<std::string> repeated;
+  for (const BenchRow& r : rows) {
+    const std::string base = strip_suffix(r.name, "_median");
+    if (!base.empty()) repeated.insert(base);
+  }
+  if (repeated.empty()) return rows;
+  std::map<std::string, long long> one_run_iterations;
+  for (const BenchRow& r : rows) {
+    if (repeated.count(r.name) != 0) one_run_iterations.emplace(r.name, r.iterations);
+  }
+  std::vector<BenchRow> out;
+  for (const BenchRow& r : rows) {
+    if (repeated.count(r.name) != 0) continue;  // one repetition
+    bool aggregate = false;
+    for (const char* suffix : {"_mean", "_stddev", "_cv"}) {
+      if (repeated.count(strip_suffix(r.name, suffix)) != 0) aggregate = true;
+    }
+    if (aggregate) continue;
+    const std::string base = strip_suffix(r.name, "_median");
+    if (repeated.count(base) == 0) {
+      out.push_back(r);
+      continue;
+    }
+    BenchRow median = r;
+    median.name = base;
+    median.repetitions = r.iterations;
+    const auto it = one_run_iterations.find(base);
+    median.iterations = it != one_run_iterations.end() ? it->second : 0;
+    out.push_back(median);
+  }
+  return out;
+}
+
 std::string json_escape(const std::string& s) {
   std::string out;
   for (const char c : s) {
@@ -126,6 +181,7 @@ std::string format_entry(const std::string& label, const std::vector<BenchRow>& 
         << "\"real_time_ms\": " << r.real_time_ms
         << ", \"cpu_time_ms\": " << r.cpu_time_ms
         << ", \"iterations\": " << r.iterations;
+    if (r.repetitions > 0) out << ", \"repetitions\": " << r.repetitions;
     if (!r.counters.empty()) {
       out << ", \"counters\": {";
       bool first = true;
@@ -279,6 +335,7 @@ int main(int argc, char** argv) {
     std::cerr << "bench_to_json: no benchmark rows found in input\n";
     return 1;
   }
+  rows = keep_medians(rows);
   // Comma-separated list; every substring must match some parsed row.
   const std::string required = flags.get("require", "");
   for (std::size_t pos = 0; pos < required.size();) {

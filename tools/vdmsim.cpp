@@ -9,6 +9,7 @@
 //   vdmsim --protocol vdm --metric loss --link-loss 0.02 --members 100
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
 #include <span>
@@ -78,7 +79,8 @@ int usage() {
       "               one seed; 0 = hardware (default 1 = serial; results\n"
       "               are bit-identical for any value)\n"
       "  --profile    print a per-phase wall-time footer (join / refine /\n"
-      "               flood / metrics, summed across seeds) after the table\n"
+      "               flood / metrics, summed across seeds, with the members\n"
+      "               each chunk's flood evaluated) after the table\n"
       "  --quiet      suppress the per-seed progress line on stderr\n"
       "  --trace-joins  print one line per tree-walk step (forces --threads 1;\n"
       "               pair with small --members/--seeds, it is verbose)\n"
@@ -331,18 +333,23 @@ int run(const util::Flags& flags) {
 
   if (cfg.session.profile) {
     double join = 0.0, refine = 0.0, flood = 0.0, metrics_t = 0.0;
+    std::uint64_t chunks = 0, visits = 0;
     for (const RunResult& r : agg.runs) {
       join += r.profile_join_secs;
       refine += r.profile_refine_secs;
       flood += r.profile_flood_secs;
       metrics_t += r.profile_metrics_secs;
+      chunks += r.totals.chunks_emitted;
+      visits += r.totals.flood_visits;
     }
+    const double per_chunk = chunks > 0 ? 1.0 / static_cast<double>(chunks) : 0.0;
     std::printf(
-        "\nprofile (%zu seeds): join %.3fs  refine %.3fs  flood %.3fs  "
-        "metrics %.3fs\n"
+        "\nprofile (%zu seeds): join %.3fs  refine %.3fs  flood %.3fs "
+        "(%.1f visits, %.0f ns per chunk)  metrics %.3fs\n"
         "  run-threads %d, sweep workers %zu\n",
-        agg.runs.size(), join, refine, flood, metrics_t, cfg.session.threads,
-        sweep.threads);
+        agg.runs.size(), join, refine, flood,
+        static_cast<double>(visits) * per_chunk, flood * 1e9 * per_chunk,
+        metrics_t, cfg.session.threads, sweep.threads);
   }
 
   if (want_trajectory && !agg.runs.empty()) {
